@@ -233,9 +233,7 @@ def _cmd_kdv_run(args) -> int:
 
 def _cmd_picard_scan(args) -> int:
     spec = _parse_lattice(args)
-    report = picard_blowup_scan(
-        spec, _parse_C_list(args.C), t=args.t, power=args.power, workers=args.workers
-    )
+    report = picard_blowup_scan(spec, _parse_C_list(args.C), t=args.t, power=args.power)
     target = 5.0 * spec.b / 2.0
     lo, hi = (args.band if args.band else (target - 0.3, target + 0.3))
     checks = [] if args.power != 2 else [("picard slope", report.slope, lo, hi)]
@@ -250,7 +248,6 @@ def _cmd_strichartz_scan(args) -> int:
         T=args.T,
         trials=args.trials,
         seed=args.seed,
-        workers=args.workers,
     )
     target = spec.b / 4.0
     checks = [
@@ -269,7 +266,6 @@ def _cmd_bilinear_scan(args) -> int:
         T=args.T,
         trials=args.trials,
         seed=args.seed,
-        workers=args.workers,
     )
     checks = [("bilinear slope", report.slope, -0.5, spec.b / 2.0 + 0.15)]
     return _emit(report, args, checks)
@@ -296,7 +292,7 @@ def _cmd_averaged_check(args) -> int:
     spec = _parse_lattice(args)
     report = averaged_norm_check(
         spec, _parse_C_list(args.C), trials=args.trials, seed=args.seed,
-        symbol=_parse_symbol(args.symbol), workers=args.workers,
+        symbol=_parse_symbol(args.symbol),
     )
     checks = [("averaged slope", report.slope, -0.1, 0.1)]
     return _emit(report, args, checks)
@@ -332,7 +328,6 @@ def _add_scan_io(p):
     p.add_argument("--output", help="path prefix for .csv/.json outputs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=4)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

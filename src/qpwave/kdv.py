@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import NumericConsistencyError
 from .evolution import DispersionSymbol
-from .nls import SolveResult, SolverConfig, _run_solver, _truncated
+from .nls import SolveResult, SolverConfig, _run_solver
 from .scalars import QScalar
-from .trigpoly import TrigPoly, multiply
+from .trigpoly import TrigPoly, multiply, project_ball
 
 __all__ = [
     "require_real_field",
@@ -180,18 +180,13 @@ def kdv_rhs(
     u: TrigPoly, trunc_height: float | None = None, budget: int | None = None
 ) -> TrigPoly:
     """Coefficients of u u_x = (u^2/2)_x; the zero mode vanishes identically."""
-    out, _ = _kdv_rhs_with_loss(u, trunc_height, budget)
-    return out
-
-
-def _kdv_rhs_with_loss(u, trunc_height, budget):
     if u.spec.d != 1:
         raise ValueError("kdv_rhs requires d = 1")
     w = multiply(u, u, budget=budget)
     idx, vals = w.as_arrays()
     lam = w.freqs_float()
     out = TrigPoly.from_arrays(u.spec, idx, vals * (0.5j * lam), prune=True)
-    return _truncated(out, trunc_height)
+    return out if trunc_height is None else project_ball(out, trunc_height)
 
 
 def kdv_solve(u0: TrigPoly, cfg: SolverConfig, budget: int | None = None) -> SolveResult:

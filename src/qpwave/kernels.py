@@ -1,7 +1,7 @@
 """Shared array kernels: index packing, grouped reduction, and phi1.
 
 All reductions here are deterministic: rows are ordered by a stable lexsort
-before ``reduceat``, so results do not depend on input order or worker count.
+before ``reduceat``, so results do not depend on input order.
 """
 
 from __future__ import annotations
@@ -9,13 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def pack_rows(idx: np.ndarray, bits: int | None = None) -> np.ndarray:
+def pack_rows(idx: np.ndarray) -> np.ndarray:
     """Pack integer rows (M, r) into single int64 keys.
 
-    With the default per-call width the keys are only comparable within one
-    call; pass an explicit ``bits`` (covering all coordinates involved) to
-    compare keys across arrays.  Falls back to a lexicographic rank when the
-    coordinates are too large to pack.
+    The packing width is chosen per call, so keys are only comparable within
+    one call.  Falls back to a lexicographic rank when the coordinates are
+    too large to pack.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim == 1:
@@ -23,12 +22,7 @@ def pack_rows(idx: np.ndarray, bits: int | None = None) -> np.ndarray:
     m, r = idx.shape
     if m == 0:
         return np.zeros(0, dtype=np.int64)
-    explicit = bits is not None
-    span = int(np.abs(idx).max()) if m else 0
-    if bits is None:
-        bits = max(span.bit_length() + 2, 4)
-    elif span.bit_length() + 2 > bits:
-        raise ValueError("coordinates exceed the requested packing width")
+    bits = max(int(np.abs(idx).max()).bit_length() + 2, 4)
     if bits * r <= 62:
         base = np.int64(1) << bits
         off = np.int64(1) << (bits - 1)
@@ -36,8 +30,6 @@ def pack_rows(idx: np.ndarray, bits: int | None = None) -> np.ndarray:
         for j in range(r):
             out = out * base + (idx[:, j] + off)
         return out
-    if explicit:
-        raise ValueError("requested packing width does not fit in int64")
     # rank fallback: unique rows -> dense ids
     _, inv = np.unique(idx, axis=0, return_inverse=True)
     return inv.astype(np.int64)

@@ -157,7 +157,7 @@ class LatticeSpec:
             blk = n[self.block(i)]
             acc = None
             for c, w in zip(blk, self.omega[i]):
-                term = c * w if self.exact else c * w
+                term = c * w
                 acc = term if acc is None else acc + term
             if acc is None:
                 acc = QScalar(0) if self.exact else 0.0

@@ -11,10 +11,13 @@ tolerance rather than the step size.  The contraction ratio of the sweeps is
 monitored; failure to contract signals a step size or data size too large
 for the fixed point to exist.
 
-Internally a solve runs on dense coefficient vectors over the truncation
-ball with convolution index tables built once per solve; problems whose
-tables would exceed the work budget (or nonlinearity powers above cubic)
-fall back to sparse-dictionary arithmetic.
+The state is a coefficient vector over the truncation ball.  A lattice mode
+sum restricts a trigonometric polynomial on the torus T^rank, so the
+nonlinearity is a pointwise product on a torus grid.  With 2 k H + 2 points
+per axis for k factors of height <= H the product's support [-k H, k H] is
+not aliased (padding de-aliasing): the grid coefficients are the exact
+convolution sums, and Parseval's identity gives the part the truncation
+discards.  A grid larger than the work budget raises BudgetError.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import budget as _budget
-from .errors import BudgetError, NonContractionError
-from .evolution import DispersionSymbol, propagate
-from .kernels import group_sum, pack_rows, phi1
+from .errors import NonContractionError
+from .evolution import DispersionSymbol
+from .kernels import group_sum, phi1
 from .lattice import ball_indices
 from .meannorms import _fold_tuple_data, evolved_factor_data
 from .report import ScanReport
@@ -149,14 +152,6 @@ class SolveResult:
 # -- nonlinearities --------------------------------------------------------------
 
 
-def _truncated(f: TrigPoly, trunc_height: float | None) -> tuple[TrigPoly, float]:
-    if trunc_height is None:
-        return f, 0.0
-    kept = project_ball(f, trunc_height)
-    lost = f.l2_norm() ** 2 - kept.l2_norm() ** 2
-    return kept, max(lost, 0.0)
-
-
 def cubic_nonlinearity(
     u: TrigPoly,
     sign: int = 1,
@@ -164,8 +159,7 @@ def cubic_nonlinearity(
     budget: int | None = None,
 ) -> TrigPoly:
     """sign * |u|^2 u by two lattice convolutions, Galerkin-truncated."""
-    out, _ = _power_with_loss(u, 2, sign, trunc_height, budget)
-    return out
+    return power_nonlinearity(u, 2, sign, trunc_height, budget)
 
 
 def power_nonlinearity(
@@ -176,11 +170,6 @@ def power_nonlinearity(
     budget: int | None = None,
 ) -> TrigPoly:
     """sign * |u|^(2(power-1)) u; power = 2 recovers the cubic case."""
-    out, _ = _power_with_loss(u, power, sign, trunc_height, budget)
-    return out
-
-
-def _power_with_loss(u, power, sign, trunc_height, budget):
     uc = u.conj()
     v = u
     for _ in range(power - 1):
@@ -188,124 +177,63 @@ def _power_with_loss(u, power, sign, trunc_height, budget):
         v = multiply(v, u, budget=budget)
     if sign == -1:
         v = -v
-    return _truncated(v, trunc_height)
+    return v if trunc_height is None else project_ball(v, trunc_height)
 
 
-# -- dense Galerkin engine -----------------------------------------------------------
+# -- torus-grid Galerkin engine --------------------------------------------------------
 
 
-def _lookup_positions(sorted_packed: np.ndarray, queries: np.ndarray):
-    """Positions of queries in a sorted packed-key array; (positions, hit mask)."""
-    pos = np.searchsorted(sorted_packed, queries)
-    pos = np.minimum(pos, len(sorted_packed) - 1)
-    hit = sorted_packed[pos] == queries
-    return pos, hit
+class _TorusPlan:
+    """State layout and right-hand side of the truncated flow on a torus grid.
 
-
-class _ConvTable:
-    """Index tables for one convolution layer A x B -> C (full output support).
-
-    Pair products are pre-sorted by output bin so one reduceat pass per
-    application performs the whole grouped sum.
+    Ball coefficients sit at ``basis % side``.  Kind "cubic" gives
+    -i sign |u|^(2(power-1)) u; "derivative" gives the KdV term (u^2/2)_x,
+    with the multiplier i freq/2 taken at the grid's wrapped indices.
     """
 
-    __slots__ = ("i", "j", "cuts", "size", "out_indices")
-
-    def __init__(self, a_idx, b_idx):
-        na, nb = len(a_idx), len(b_idx)
-        r = a_idx.shape[1]
-        sums = (a_idx[:, None, :] + b_idx[None, :, :]).reshape(-1, r)
-        packed = pack_rows(sums)
-        order = np.argsort(packed, kind="stable")
-        packed = packed[order]
-        cuts = np.flatnonzero(np.r_[True, packed[1:] != packed[:-1]])
-        self.i = (np.repeat(np.arange(na), nb))[order]
-        self.j = (np.tile(np.arange(nb), na))[order]
-        self.cuts = cuts
-        self.size = len(cuts)
-        self.out_indices = sums[order[cuts]]
-
-    def apply(self, a_vec, b_vec):
-        return np.add.reduceat(a_vec[self.i] * b_vec[self.j], self.cuts)
-
-
-class _DensePlan:
-    """Precomputed basis and convolution tables for the truncated flow.
-
-    The state vector lives on the ball of the truncation height.  The cubic
-    plan computes u * conj(u) on the doubled ball, then the product with u on
-    the tripled ball, and projects back; the quadratic (derivative) plan stops
-    after one layer.  The squared norm outside the ball is the truncation
-    loss of the evaluated right-hand side.
-    """
-
-    def __init__(self, spec, trunc_height, kind, sign=1, budget=None):
-        self.spec = spec
-        self.kind = kind
-        self.sign = sign
-        basis = ball_indices(spec, trunc_height, budget)
-        order = np.lexsort(basis.T[::-1])
-        basis = basis[order]
-        self.basis = basis
-        nb = len(basis)
-        # one packing width covers every index this plan touches (sums up to 3x)
-        self._bits = (3 * (int(trunc_height) + 1)).bit_length() + 2
-        packed = pack_rows(basis, bits=self._bits)
-        srt = np.argsort(packed)
-        self._packed_sorted = packed[srt]
-        self._packed_order = srt
-        # position of -n for every basis point (the ball is symmetric)
-        pos, hit = _lookup_positions(self._packed_sorted, pack_rows(-basis, bits=self._bits))
-        assert hit.all()
-        self.mirror = self._packed_order[pos]
-
-        _budget.check(nb * nb, budget, what="dense convolution plan (layer 1)")
-        self.t1 = _ConvTable(basis, basis)
-        mid = self.t1.out_indices
-        if kind == "cubic":
-            _budget.check(len(mid) * nb, budget, what="dense convolution plan (layer 2)")
-            self.t2 = _ConvTable(mid, basis)
-            self._final_to_basis(self.t2.out_indices)
-        else:  # derivative quadratic: single layer, multiplier i*freq/2 on mid
-            lam = spec.freq_float(mid)
-            self.mid_multiplier = 0.5j * lam
-            self._final_to_basis(mid)
-
-    def _final_to_basis(self, final_idx):
-        pos, hit = _lookup_positions(
-            self._packed_sorted, pack_rows(final_idx, bits=self._bits)
+    def __init__(self, spec, trunc_height, kind, symbol, power=2, sign=1, budget=None):
+        factors = 2 if kind == "derivative" else 2 * power - 1
+        # a product of `factors` modes of height <= H lies in [-factors*H, factors*H]
+        side = 2 * factors * int(trunc_height) + 2
+        _budget.check(
+            side**spec.rank, budget, what=f"torus grid ({side}^{spec.rank} points)"
         )
-        self.final_hit = hit
-        self.final_target = self._packed_order[pos]
+        self.spec = spec
+        self.basis = ball_indices(spec, trunc_height, budget)
+        self.rates = symbol.rates_for_indices(spec, self.basis)
+        self.shape = (side,) * spec.rank
+        self.pos = np.ravel_multi_index(tuple((self.basis % side).T), self.shape)
+        self.kind = kind
+        self.power = power
+        if kind == "derivative":
+            grid = np.indices(self.shape).reshape(spec.rank, -1).T
+            wrapped = (grid + side // 2) % side - side // 2
+            self.multiplier = 0.5j * spec.freq_float(wrapped).reshape(self.shape)
+        else:
+            self.multiplier = -1j * sign
 
     def load(self, u: TrigPoly) -> np.ndarray:
-        vec = np.zeros(len(self.basis), dtype=complex)
         idx, vals = u.as_arrays()
-        if len(idx):
-            pos, hit = _lookup_positions(
-                self._packed_sorted, pack_rows(idx, bits=self._bits)
-            )
-            if not hit.all():
-                raise ValueError("data escapes the truncation ball")
-            vec[self._packed_order[pos]] = vals
-        return vec
+        grid = np.zeros(self.shape, dtype=complex)
+        grid[tuple((idx % self.shape[0]).T)] = vals
+        return grid.flat[self.pos]
 
     def unload(self, vec: np.ndarray) -> TrigPoly:
         nz = np.flatnonzero(np.abs(vec) > 0)
         return TrigPoly.from_arrays(self.spec, self.basis[nz], vec[nz], prune=True)
 
     def rhs(self, vec: np.ndarray) -> tuple[np.ndarray, float]:
-        if self.kind == "cubic":
-            ubar = np.conj(vec)[self.mirror]
-            w1 = self.t1.apply(vec, ubar)
-            w2 = self.t2.apply(w1, vec)
-            w2 = (-1j * self.sign) * w2
+        """(right-hand side on the ball, squared norm of the part outside it)."""
+        grid = np.zeros(self.shape, dtype=complex)
+        grid.flat[self.pos] = vec
+        u = np.fft.ifftn(grid, norm="forward")
+        if self.kind == "derivative":
+            w = u * u
         else:
-            w1 = self.t1.apply(vec, vec)
-            w2 = self.mid_multiplier * w1
-        out = np.zeros(len(self.basis), dtype=complex)
-        out[self.final_target[self.final_hit]] = w2[self.final_hit]
-        total = float((w2.real**2 + w2.imag**2).sum())
+            w = (u.real**2 + u.imag**2) ** (self.power - 1) * u
+        g = self.multiplier * np.fft.fftn(w, norm="forward")
+        out = g.flat[self.pos]
+        total = float((g.real**2 + g.imag**2).sum())
         inside = float((out.real**2 + out.imag**2).sum())
         return out, max(total - inside, 0.0)
 
@@ -381,48 +309,21 @@ def _split_steps(T, dt):
 
 
 def _run_solver(u0, cfg, symbol, rhs_kind, budget=None):
-    if project_ball(u0, cfg.trunc_height).l2_norm() != u0.l2_norm():
+    if len(project_ball(u0, cfg.trunc_height)) != len(u0):
         raise ValueError("initial data must be supported inside the truncation ball")
-
-    plan = None
-    if rhs_kind == "derivative" or cfg.power == 2:
-        try:
-            plan = _DensePlan(
-                u0.spec, cfg.trunc_height, rhs_kind, sign=cfg.sign, budget=budget
-            )
-        except BudgetError:
-            plan = None
-
-    if plan is not None:
-        state = plan.load(u0)
-        rates = symbol.rates_for_indices(u0.spec, plan.basis)
-        rhs = plan.rhs
-    else:
-        state = u0
-
-        def rhs_dict(u_phys):
-            if rhs_kind == "cubic":
-                g, loss = _power_with_loss(u_phys, cfg.power, cfg.sign, cfg.trunc_height, budget)
-                return -1j * g, loss
-            from .kdv import _kdv_rhs_with_loss
-
-            return _kdv_rhs_with_loss(u_phys, cfg.trunc_height, budget)
-
+    plan = _TorusPlan(
+        u0.spec, cfg.trunc_height, rhs_kind, symbol, cfg.power, cfg.sign, budget
+    )
+    state = plan.load(u0)
     trace = SolveTrace()
     t = 0.0
     warned = False
     cumulative_loss = 0.0
     for h in _split_steps(cfg.T, cfg.dt):
-        if plan is not None:
-            state, sweeps, ratio, loss = _step_vectors(
-                state, h, rates, rhs, cfg.picard_tol, cfg.max_picard
-            )
-            mass = float(np.linalg.norm(state)) ** 2
-        else:
-            state, sweeps, ratio, loss = _step_poly(
-                state, h, symbol, rhs_dict, cfg.picard_tol, cfg.max_picard
-            )
-            mass = state.l2_norm() ** 2
+        state, sweeps, ratio, loss = _step_vectors(
+            state, h, plan.rates, plan.rhs, cfg.picard_tol, cfg.max_picard
+        )
+        mass = float(np.linalg.norm(state)) ** 2
         t += h
         step_loss = h * h * loss
         cumulative_loss += step_loss
@@ -433,56 +334,11 @@ def _run_solver(u0, cfg, symbol, rhs_kind, budget=None):
                 stacklevel=3,
             )
             warned = True
-        u_here = plan.unload(state) if plan is not None else state
+        u_here = plan.unload(state)
         trace.append(
             StepRecord(t, mass, sobolev_norm(u_here, cfg.trace_s), step_loss, sweeps, ratio)
         )
-    final = plan.unload(state) if plan is not None else state
-    return SolveResult(final, trace)
-
-
-def _step_poly(u, dt, symbol, rhs, tol, max_sweeps):
-    """Sparse-dictionary variant of the collocation step (fallback path)."""
-    taus = _NODES * dt
-    w_nodes = [u] * 4
-    f_nodes = None
-    prev_diff = None
-    ratio = math.nan
-    max_loss = 0.0
-    for sweep in range(1, max_sweeps + 1):
-        f_nodes = []
-        for q in range(4):
-            g, loss = rhs(propagate(w_nodes[q], symbol, taus[q]))
-            max_loss = max(max_loss, loss)
-            f_nodes.append(propagate(g, symbol, -taus[q]))
-        diff = 0.0
-        new_nodes = []
-        for q in range(4):
-            acc = u
-            for j in range(4):
-                acc = acc + (dt * _NODE_INTEGRALS[q, j]) * f_nodes[j]
-            d = (acc - w_nodes[q]).l2_norm()
-            diff = max(diff, d if math.isfinite(d) else math.inf)
-            new_nodes.append(acc)
-        w_nodes = new_nodes
-        if prev_diff is not None and prev_diff > 0:
-            if math.isfinite(diff) and math.isfinite(prev_diff):
-                ratio = diff / prev_diff
-            else:
-                ratio = math.inf
-        prev_diff = diff
-        if diff < tol:
-            break
-    else:
-        raise NonContractionError(
-            f"Picard sweeps did not reach tol={tol} in {max_sweeps} iterations "
-            f"(last contraction ratio {ratio:.3g}); reduce dt or the data size",
-            ratio=ratio,
-        )
-    w_end = u
-    for j in range(4):
-        w_end = w_end + (dt * _END_WEIGHTS[j]) * f_nodes[j]
-    return propagate(w_end, symbol, dt), sweep, ratio, max_loss
+    return SolveResult(plan.unload(state), trace)
 
 
 def solve(
@@ -550,7 +406,6 @@ def picard_blowup_scan(
     t: float = 0.01,
     power: int = 2,
     budget: int | None = None,
-    workers: int = 1,
     config_extra: dict | None = None,
 ) -> ScanReport:
     """Growth of the first Picard iterate on the concentration family.
@@ -560,18 +415,11 @@ def picard_blowup_scan(
     and the slope is flat.
     """
 
-    def run_C(C):
+    rows = []
+    for C in C_list:
         fam = _scan_family(spec, C, budget)
         val = first_picard_iterate(fam, t, power=power, budget=budget).l2_norm()
-        return (float(C), val, val, val)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_C, C_list))
-    else:
-        rows = [run_C(C) for C in C_list]
+        rows.append((float(C), val, val, val))
     config = {
         "scan": "picard-blowup",
         "lattice": spec.to_dict(),

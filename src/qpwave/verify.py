@@ -4,14 +4,12 @@ Each scan drives the exact norm machinery over a dyadic parameter range and
 fits a log-log slope.  Trial data mix i.i.d. complex Gaussian coefficients on
 the height shell (typicality), the deterministic concentration family
 (sharpness), and single modes (floor).  Every scan is deterministic given its
-seed: per-trial generators are spawned from (seed, C, trial), and reductions
-are max/min, so results do not depend on scheduling.
+seed: per-trial generators are spawned from (seed, C, trial).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,13 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_SUPPORT = 512
-
-
-def _parallel_map(fn, tasks, workers: int):
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def random_shell_poly(
@@ -88,7 +79,6 @@ def strichartz_scan(
     symbol: DispersionSymbol | None = None,
     max_support: int = DEFAULT_MAX_SUPPORT,
     budget: int | None = None,
-    workers: int = 1,
 ) -> ScanReport:
     """Windowed space-time norm against T^(1/8) times the mean-L^2 norm.
 
@@ -114,7 +104,7 @@ def strichartz_scan(
             rs.append(ratio(random_shell_poly(spec, C, rng, max_support, budget)))
         return (float(C), max(rs), min(rs), max(rs)), r_family
 
-    results = _parallel_map(run_C, list(C_list), workers)
+    results = [run_C(C) for C in C_list]
     rows = [r[0] for r in results]
     fam_rows = [(rows[i][0], results[i][1]) for i in range(len(results))]
     fam_fit = fit_exponent(fam_rows)
@@ -151,7 +141,6 @@ def bilinear_scan(
     seed: int = 0,
     max_support: int = 256,
     budget: int | None = None,
-    workers: int = 1,
 ) -> ScanReport:
     """Product of two evolved shells in L^2_t L^2_x against T^(1/4) times the
     product of the mean-L^2 norms; the slope in the smaller height stays below
@@ -182,7 +171,7 @@ def bilinear_scan(
             rs.append(pair_ratio(f1, f2))
         return (float(C1), max(rs), min(rs), max(rs))
 
-    rows = _parallel_map(run_C1, list(C1_list), workers)
+    rows = [run_C1(C1) for C1 in C1_list]
     config = {
         "scan": "bilinear",
         "lattice": spec.to_dict(),
@@ -206,7 +195,6 @@ def averaged_norm_check(
     symbol: DispersionSymbol | None = None,
     max_support: int = DEFAULT_MAX_SUPPORT,
     budget: int | None = None,
-    workers: int = 1,
 ) -> ScanReport:
     """Globally time-averaged space-time norm against the mean-L^2 norm.
 
@@ -230,7 +218,7 @@ def averaged_norm_check(
             rs.append(ratio(random_shell_poly(spec, C, rng, max_support, budget)))
         return (float(C), fam_ratio, min(rs), max(rs))
 
-    rows = _parallel_map(run_C, list(C_list), workers)
+    rows = [run_C(C) for C in C_list]
     config = {
         "scan": "averaged",
         "lattice": spec.to_dict(),

@@ -1,10 +1,14 @@
 import cmath
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from qpwave import (
+    BudgetError,
+    DispersionSymbol,
+    LatticeSpec,
     NonContractionError,
     SolverConfig,
     TrigPoly,
@@ -13,11 +17,13 @@ from qpwave import (
     first_picard_iterate,
     fit_exponent,
     galilean_boost,
+    kdv_rhs,
     picard_blowup_scan,
     power_nonlinearity,
     solve,
 )
-from qpwave.nls import _scan_family
+from qpwave.nls import _TorusPlan, _scan_family
+from qpwave.trigpoly import project_ball
 from conftest import random_poly
 
 
@@ -162,15 +168,52 @@ def test_solve_galilean_covariance(sqrt2_spec):
     assert (direct - routed).l2_norm() < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:Galerkin truncation")
-def test_solve_dense_and_sparse_paths_agree(sqrt2_spec):
+def test_torus_plan_matches_multiply_oracle(sqrt2_spec, sqrt23_spec):
+    # the FFT right-hand side and truncation loss against the multiply-based
+    # nonlinearities, on data spread over the truncation ball
+    d2_spec = LatticeSpec([[1.0, math.sqrt(2.0)], [math.sqrt(3.0)]])
+    cases = [
+        # (lattice, kind, power, sign, trunc_height)
+        (sqrt2_spec, "cubic", 2, 1, 6),
+        (sqrt2_spec, "cubic", 3, -1, 3),
+        (sqrt2_spec, "derivative", 2, 1, 6),
+        (sqrt23_spec, "cubic", 2, -1, 3),
+        (sqrt23_spec, "cubic", 3, 1, 2),
+        (sqrt23_spec, "derivative", 2, 1, 3),
+        (d2_spec, "cubic", 2, 1, 3),
+        (d2_spec, "cubic", 3, -1, 2),
+    ]
     rng = np.random.default_rng(54)
-    u0 = random_poly(sqrt2_spec, 5, rng, box=2, unit=True)
-    cfg = SolverConfig(trunc_height=6, dt=2e-3, T=0.02)
-    fast = solve(u0, cfg).final
-    # a budget too small for the dense tables still allows sparse convolutions
-    slow = solve(u0, cfg, budget=5_000).final
-    assert (fast - slow).l2_norm() < 1e-12
+    for spec, kind, power, sign, H in cases:
+        deriv = kind == "derivative"
+        symbol = DispersionSymbol.airy() if deriv else DispersionSymbol.schrodinger()
+        plan = _TorusPlan(spec, H, kind, symbol, power, sign)
+        sel = rng.choice(len(plan.basis), size=12, replace=False)
+        vals = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        u = TrigPoly.from_arrays(spec, plan.basis[sel], vals)
+        full = kdv_rhs(u) if deriv else -1j * power_nonlinearity(u, power, sign)
+        kept = project_ball(full, H)
+        want = np.array([kept.coeff(n) for n in plan.basis.tolist()])
+        got, loss = plan.rhs(plan.load(u))
+        assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(want)
+        want_loss = full.l2_norm() ** 2 - kept.l2_norm() ** 2
+        assert want_loss > 0
+        assert abs(loss - want_loss) <= 1e-12 * full.l2_norm() ** 2
+
+
+def test_solve_rank_two_height_24_at_default_budget(sqrt2_spec):
+    rng = np.random.default_rng(60)
+    u0 = random_poly(sqrt2_spec, 20, rng, box=4, unit=True)
+    res = solve(u0, SolverConfig(trunc_height=24, dt=2e-3, T=0.01))
+    assert len(res.trace) == 5
+    assert abs(res.final.l2_norm() - 1.0) < 1e-8
+
+
+def test_solve_over_budget_grid_raises(sqrt2_spec):
+    u0 = TrigPoly.single(sqrt2_spec, (1, 1), 0.5)
+    # the cubic grid at H=6 has side 6*6+2 = 38
+    with pytest.raises(BudgetError, match=r"torus grid \(38\^2 points\)"):
+        solve(u0, SolverConfig(trunc_height=6, dt=1e-3, T=0.01), budget=1_000)
 
 
 def test_solve_rejects_escaping_data(sqrt2_spec):

@@ -82,13 +82,6 @@ def test_strichartz_scan_deterministic(sqrt2_spec):
     assert r3.hash != r1.hash  # the seed is part of the resolved config
 
 
-def test_strichartz_scan_worker_count_invariance(sqrt2_spec):
-    kw = dict(T=0.1, trials=2, seed=7, max_support=64)
-    serial = strichartz_scan(sqrt2_spec, [4, 8, 16], workers=1, **kw)
-    threaded = strichartz_scan(sqrt2_spec, [4, 8, 16], workers=3, **kw)
-    assert serial.rows == threaded.rows
-
-
 def test_strichartz_single_mode_floor(sqrt2_spec):
     # a single mode contributes T^{1/4}/T^{1/8} independent of C, so every
     # per-C max ratio is at least that
