@@ -9,12 +9,11 @@ flipping these signs, so only internal consistency matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .scalars import QScalar
 from .trigpoly import TrigPoly
 
 __all__ = ["DispersionSymbol", "propagate", "galilean_boost", "boost_mixed_norm_check"]
@@ -72,37 +71,45 @@ class DispersionSymbol:
     # -- exact phase identification ----------------------------------------------
 
     def phase_rate_keys(self, f: TrigPoly):
-        """Exact per-mode phase identifiers, or None when unavailable.
+        """Exact per-mode phase identifiers: an (M, 2) int64 array, or None in
+        float mode and for custom polynomials.
 
-        For an exact rank-nu lattice in one dimension the Schroedinger and
-        Airy rates are again elements a + b sqrt(d); modes share a key iff
-        their rates are exactly equal.  Returns an (M, 2) int64 array when the
-        generators have integer coordinates, a list of Fraction pairs for
-        general rationals, and None in float mode or for custom polynomials.
+        With generator coordinates (A + B sqrt D) / den over one common
+        denominator, a frequency component is (P + Q sqrt D) / den, P and Q
+        integer dot products of the index block with A and B.  The rate times
+        den^2 (Schroedinger, any d) or den^3 (Airy, d = 1) is a + b sqrt D, and
+        the key is (a, b): equal keys iff equal rates.  A key that could leave
+        the int64 range, bounded first in Python integers, raises ValueError.
         """
         spec = f.spec
-        if not spec.exact or spec.d != 1 or self.kind == "polynomial":
+        if not spec.exact or self.kind == "polynomial":
             return None
+        if self.kind == "airy" and spec.d != 1:
+            raise ValueError("airy dispersion requires d = 1")
+        gens = [x for block in spec.omega for x in block]
+        den = math.lcm(*(c.denominator for x in gens for c in (x.a, x.b)))
+        D = max(x.d for x in gens)
         idx, _ = f.as_arrays()
-        a = [x.a for x in spec.omega[0]]
-        b = [x.b for x in spec.omega[0]]
-        d = max((x.d for x in spec.omega[0]), default=1)
-        if all(x.denominator == 1 for x in a + b):
-            A = np.array([int(x) for x in a], dtype=np.int64)
-            B = np.array([int(x) for x in b], dtype=np.int64)
-            P = idx @ A
-            Q = idx @ B
-            if self.kind == "schrodinger":
-                return np.stack([-(P * P + d * Q * Q), -2 * P * Q], axis=1)
-            return np.stack([P**3 + 3 * d * P * Q * Q, 3 * P * P * Q + d * Q**3], axis=1)
-        keys = []
-        for row in idx:
-            lam = spec.freq1(tuple(int(x) for x in row))
-            if not isinstance(lam, QScalar):
-                lam = QScalar(Fraction(lam), 0)
-            val = -(lam * lam) if self.kind == "schrodinger" else lam * lam * lam
-            keys.append((val.a, val.b))
+        keys = np.zeros((len(idx), 2), dtype=np.int64)
+        bound = 0
+        for i, block in enumerate(spec.omega):
+            A = [int(x.a * den) for x in block]
+            B = [int(x.b * den) for x in block]
+            sub = idx[:, spec.block(i)]
+            top = np.abs(sub).max(axis=0, initial=0).tolist()
+            P_max, Q_max = (sum(m * abs(c) for m, c in zip(top, C)) for C in (A, B))
+            bound += max(abs(k) for k in self._key_parts(P_max, Q_max, D))
+            if bound > np.iinfo(np.int64).max:
+                raise ValueError("exact phase keys exceed the int64 range")
+            P, Q = sub @ np.array(A, dtype=np.int64), sub @ np.array(B, dtype=np.int64)
+            keys += np.stack(self._key_parts(P, Q, D), axis=1)
         return keys
+
+    def _key_parts(self, P, Q, D):
+        """(a, b) of the scaled rate of (P + Q sqrt D) / den, for arrays or ints."""
+        if self.kind == "schrodinger":
+            return -(P * P + D * Q * Q), -2 * P * Q
+        return P**3 + 3 * D * P * Q * Q, 3 * P * P * Q + D * Q**3
 
 
 def propagate(f: TrigPoly, symbol: DispersionSymbol, t: float) -> TrigPoly:

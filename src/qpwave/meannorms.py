@@ -8,7 +8,9 @@ totals, which is exact, manifestly nonnegative, and O(M^(p/2)).
 The windowed space-time norm of a free evolution carries one time integral
 per tuple, evaluated in closed form through phi1(z) = (e^z - 1)/z; the
 globally averaged norm keeps only tuples whose dispersive phases cancel
-exactly, decided in exact field arithmetic whenever the lattice allows it.
+exactly.  On an exact lattice (any d) that is decided on int64 phase keys,
+the rates scaled by the generators' common denominator; in float mode rate
+sums coincide within RESONANCE_FLOAT_TOL of the summed sizes of their terms.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ __all__ = [
     "ExponentPrediction",
 ]
 
-RESONANCE_FLOAT_TOL = 1e-10
+# Float-mode coincidence of rate (or frequency) sums, relative to the summed
+# sizes of their terms: equal sums differ by about one roundoff unit of it,
+# distinct sums of boosted small-box data at heights up to 1e5 by >= 8e-13.
+RESONANCE_FLOAT_TOL = 1e-14
 IMAG_RESIDUE_TOL = 1e-12
 
 
@@ -102,15 +107,17 @@ def lp_norm_exact(f: TrigPoly, p: int, budget: int | None = None) -> float:
     return total ** (1.0 / 6.0)
 
 
-def _tuple_sum_gap(lam: np.ndarray, k: int, budget: int | None) -> float:
-    """Smallest positive spacing among k-fold frequency sums (0 if none)."""
+def _tuple_sum_gap(lam: np.ndarray, scales: np.ndarray, k: int, budget: int | None) -> float:
+    """Smallest positive spacing among k-fold frequency sums (0 if none);
+    spacings within RESONANCE_FLOAT_TOL of the summed term scales are roundoff."""
     _budget.check(len(lam) ** k, budget, what="tuple-sum spacing scan")
-    sums = lam
+    sums, mags = lam, scales
     for _ in range(k - 1):
-        sums = (sums[:, None] + lam[None, :]).ravel()
-    sums = np.sort(sums)
+        sums, mags = _outer(sums, lam), _outer(mags, scales)
+    order = np.argsort(sums)
+    sums, mags = sums[order], mags[order]
     d = np.diff(sums)
-    d = d[d > 1e-12]
+    d = d[d > RESONANCE_FLOAT_TOL * np.maximum(mags[1:], mags[:-1])]
     return float(d.min()) if len(d) else 0.0
 
 
@@ -135,7 +142,8 @@ def lp_norm_numeric(
     lam = f.freqs_float()
     max_lam = max(1.0, float(np.abs(lam).max()))
     if L is None:
-        gap = _tuple_sum_gap(lam, max(1, p // 2), budget)
+        scales = f.spec.freq_float(np.abs(f.as_arrays()[0]))
+        gap = _tuple_sum_gap(lam, scales, max(1, p // 2), budget)
         L = 1e4 / gap if gap > 0 else 1e3
     step = 2 * math.pi / (min_points_per_period * max_lam)
     n = int(2 * L / step) + 2
@@ -151,64 +159,69 @@ def lp_norm_numeric(
 
 def evolved_factor_data(f: TrigPoly, symbol: DispersionSymbol, conjugated: bool = False):
     """Per-mode data of one product factor: (indices, coefficients, phase
-    rates, exact phase keys).  A conjugated factor carries negated indices,
-    conjugated coefficients, and negated rates."""
+    rates, exact phase keys, and only without keys the float rate scales).  A
+    conjugated factor carries negated indices, coefficients, rates and keys."""
     poly = f.conj() if conjugated else f
     idx, vals = poly.as_arrays()
     rates = symbol.phase_rates(poly)
     keys = symbol.phase_rate_keys(poly)
+    # a float rate is exact to a few roundoff units of the law with absolute
+    # coefficients at the frequency sum_i |n_i| omega_i (generators are > 0)
+    law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
+    scales = np.abs(law.rates_for_indices(poly.spec, np.abs(idx))) if keys is None else None
     if conjugated:
         rates = -rates
-        if isinstance(keys, np.ndarray):
+        if keys is not None:
             keys = -keys
-        elif keys is not None:
-            keys = [(-a, -b) for a, b in keys]
-    return idx, vals, rates, keys
+    return idx, vals, rates, keys, scales
+
+
+def _outer(a, b, op=np.add):
+    """op over all row pairs (a major), keeping the trailing axes of a."""
+    return op(a[:, None], b[None, :]).reshape((-1,) + a.shape[1:])
+
+
+def _phase_groups(idx, key, rate=None):
+    """Sort order and run starts of tuples with equal index sum and phase:
+    equal int64 keys or, given float ``rate``, sorted rates chained while
+    closer than RESONANCE_FLOAT_TOL times the larger summed scale in ``key``."""
+    packed = pack_rows(idx)
+    if rate is None:
+        order = np.lexsort((key[:, 1], key[:, 0], packed))
+        key = key[order]
+        split = (key[1:] != key[:-1]).any(axis=1)
+    else:
+        order = np.lexsort((rate, packed))
+        rate, key = rate[order], key[order]
+        split = np.diff(rate) > RESONANCE_FLOAT_TOL * np.maximum(key[1:], key[:-1])
+    packed = packed[order]
+    return order, np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]) | split])
 
 
 def _fold_tuple_data(datas, budget):
-    """Combine per-factor mode data into tuple data (index sums, products,
-    phase-rate sums, exact keys).  Entries with identical index sum and
-    identical exact phase are merged along the way."""
-    have_keys = all(d[3] is not None for d in datas)
-    array_keys = have_keys and all(isinstance(d[3], np.ndarray) for d in datas)
-
-    acc_idx, acc_val, acc_rate, acc_key = datas[0]
-    if have_keys and not array_keys:
-        acc_key = list(acc_key)
+    """Combine per-factor mode data into tuple data: index sums, products,
+    rate sums, and summed exact keys (merged when equal along with the index
+    sum; ValueError if a sum could leave int64) or else summed rate scales."""
+    exact = datas[0][3] is not None
+    if exact:
+        bound = sum(int(np.abs(d[3]).max(initial=0)) for d in datas)
+        if bound > np.iinfo(np.int64).max:
+            raise ValueError("tuple phase key sums exceed the int64 range")
+    phases = [d[3] if exact else d[4] for d in datas]
+    acc_idx, acc_val, acc_rate = datas[0][:3]
+    acc_key = phases[0]
     work = len(acc_val)
-    for idx, vals, rates, keys in datas[1:]:
+    for (idx, vals, rates, *_), key in zip(datas[1:], phases[1:]):
         work *= len(vals)
         _budget.check(work, budget, what="tuple enumeration")
         _budget.check_memory(len(acc_val) * len(vals), what="tuple table")
-        m, r = len(acc_val), acc_idx.shape[1]
-        new_idx = (acc_idx[:, None, :] + idx[None, :, :]).reshape(-1, r)
-        new_val = (acc_val[:, None] * vals[None, :]).ravel()
-        new_rate = (acc_rate[:, None] + rates[None, :]).ravel()
-        if have_keys:
-            if array_keys:
-                new_key = (acc_key[:, None, :] + keys[None, :, :]).reshape(-1, 2)
-            else:
-                new_key = [
-                    (ka[0] + kb[0], ka[1] + kb[1]) for ka in acc_key for kb in keys
-                ]
-        else:
-            new_key = None
-        # merge exact duplicates to keep structured inputs compact
-        if array_keys:
-            packed = pack_rows(new_idx)
-            order = np.lexsort((new_key[:, 1], new_key[:, 0], packed))
-            packed, new_idx = packed[order], new_idx[order]
-            new_val, new_rate, new_key = new_val[order], new_rate[order], new_key[order]
-            same = (
-                (packed[1:] == packed[:-1])
-                & (new_key[1:, 0] == new_key[:-1, 0])
-                & (new_key[1:, 1] == new_key[:-1, 1])
-            )
-            cuts = np.flatnonzero(np.r_[True, ~same])
-            new_idx, new_rate, new_key = new_idx[cuts], new_rate[cuts], new_key[cuts]
-            new_val = np.add.reduceat(new_val, cuts)
-        acc_idx, acc_val, acc_rate, acc_key = new_idx, new_val, new_rate, new_key
+        acc_idx, acc_rate = _outer(acc_idx, idx), _outer(acc_rate, rates)
+        acc_val, acc_key = _outer(acc_val, vals, np.multiply), _outer(acc_key, key)
+        if exact:  # merge exact duplicates to keep structured inputs compact
+            order, cuts = _phase_groups(acc_idx, acc_key)
+            first = order[cuts]
+            acc_idx, acc_rate, acc_key = acc_idx[first], acc_rate[first], acc_key[first]
+            acc_val = np.add.reduceat(acc_val[order], cuts)
     return acc_idx, acc_val, acc_rate, acc_key
 
 
@@ -255,32 +268,8 @@ def global_product_norm_sq(polys, symbol, budget=None) -> float:
         return 0.0
     datas = [evolved_factor_data(f, symbol) for f in polys]
     idx, val, rate, key = _fold_tuple_data(datas, budget)
-    packed = pack_rows(idx)
-    if isinstance(key, np.ndarray):
-        order = np.lexsort((key[:, 1], key[:, 0], packed))
-        packed, val, key = packed[order], val[order], key[order]
-        same = (
-            (packed[1:] == packed[:-1])
-            & (key[1:, 0] == key[:-1, 0])
-            & (key[1:, 1] == key[:-1, 1])
-        )
-        cuts = np.flatnonzero(np.r_[True, ~same])
-        sums = np.add.reduceat(val, cuts)
-        return float((sums.real**2 + sums.imag**2).sum())
-    if key is not None:
-        groups: dict = {}
-        for p, k, v in zip(packed.tolist(), key, val.tolist()):
-            kk = (p, k[0], k[1])
-            groups[kk] = groups.get(kk, 0.0) + v
-        return float(sum(abs(v) ** 2 for v in groups.values()))
-    # float fallback: cluster rates within each index-sum group
-    order = np.lexsort((rate, packed))
-    packed, val, rate = packed[order], val[order], rate[order]
-    new_group = np.r_[
-        True, (packed[1:] != packed[:-1]) | (np.diff(rate) > RESONANCE_FLOAT_TOL)
-    ]
-    cuts = np.flatnonzero(new_group)
-    sums = np.add.reduceat(val, cuts)
+    order, cuts = _phase_groups(idx, key, None if datas[0][3] is not None else rate)
+    sums = np.add.reduceat(val[order], cuts)
     return float((sums.real**2 + sums.imag**2).sum())
 
 

@@ -372,9 +372,8 @@ def first_picard_iterate(
     symbol = DispersionSymbol.schrodinger()
     nfac = 2 * power - 1
     datas = [evolved_factor_data(f, symbol, conjugated=bool(j % 2)) for j in range(nfac - 1)]
-    folded = datas[0] if len(datas) == 1 else _fold_tuple_data(datas, budget)
-    last_idx, last_val, last_rate, _ = evolved_factor_data(f, symbol)
-    base_idx, base_val, base_rate = folded[0], folded[1], folded[2]
+    base_idx, base_val, base_rate, _ = _fold_tuple_data(datas, budget)
+    last_idx, last_val, last_rate, *_ = evolved_factor_data(f, symbol)
     _budget.check(len(base_val) * len(last_val), budget, what="Duhamel tuple sum")
 
     spec = f.spec

@@ -1,9 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qpwave import LatticeSpec, TrigPoly, integer_lattice, sqrt2_lattice
+from qpwave import LatticeSpec, QScalar, TrigPoly, integer_lattice, sqrt2_lattice
+
+try:
+    from hypothesis import settings
+except ImportError:  # optional test dependency; the property tests skip
+    pass
+else:
+    # the same bounded set of examples on every run
+    settings.register_profile(
+        "qpwave", derandomize=True, deadline=None, max_examples=100, database=None
+    )
+    settings.load_profile("qpwave")
 
 SQRT2 = math.sqrt(2.0)
 
@@ -84,6 +96,26 @@ def oracle_mean_p6(f: TrigPoly) -> float:
                                 )
     assert abs(total.imag) < 1e-10 * max(abs(total.real), 1.0)
     return total.real
+
+
+def oracle_global_mean(f: TrigPoly, k: int) -> float:
+    """Global space-time mean of |f_t^k|^2 under the Schroedinger flow: k-tuples
+    grouped by index sum and by their exact QScalar rate sum."""
+    items = list(f.items())
+    rate = {n: -sum((lam * lam for lam in f.spec.freq(n)), QScalar(0)) for n, _ in items}
+    groups = {}
+    for tup in itertools.product(items, repeat=k):
+        index_sum = tuple(map(sum, zip(*(n for n, _ in tup))))
+        rate_sum = sum((rate[n] for n, _ in tup), QScalar(0))
+        key = (index_sum, rate_sum)
+        groups[key] = groups.get(key, 0.0) + math.prod(c for _, c in tup)
+    return sum(abs(v) ** 2 for v in groups.values())
+
+
+def float_twin(f: TrigPoly) -> TrigPoly:
+    """The same data on the float-mode copy of an exact lattice."""
+    spec = LatticeSpec([[float(x) for x in b] for b in f.spec.omega], check_height=0)
+    return TrigPoly(spec, dict(f.items()))
 
 
 def oracle_box_min_freq(omega_floats, H):

@@ -114,13 +114,30 @@ def test_exact_phase_keys_rational_path():
 
     from qpwave import LatticeSpec, QScalar
 
+    # common denominator 6: keys are the rates times 6^2 (Schroedinger) or
+    # 6^3 (Airy), in the same int64 form as for integer generators
     spec = LatticeSpec([[QScalar(Fraction(1, 2)), QScalar(0, Fraction(1, 3), 2)]])
-    f = TrigPoly(spec, {(1, 0): 1.0, (0, 1): 1.0})
-    keys = SCHROD.phase_rate_keys(f)
-    assert isinstance(keys, list)
-    lam = spec.freq1((0, 1))
-    val = -(lam * lam)
-    assert (val.a, val.b) in keys
+    f = TrigPoly(spec, {(1, 0): 1.0, (0, 1): 1.0, (3, -2): 1.0})
+    idx, _ = f.as_arrays()
+    for sym, scale, law in ((SCHROD, 36, lambda x: -(x * x)), (AIRY, 216, lambda x: x**3)):
+        keys = sym.phase_rate_keys(f)
+        assert keys.dtype == np.int64 and keys.shape == (3, 2)
+        for row, key in zip(idx, keys):
+            val = law(spec.freq1(tuple(int(x) for x in row))) * scale
+            assert (int(key[0]), int(key[1])) == (val.a, val.b)
+
+
+def test_phase_key_overflow_raises(sqrt2_spec):
+    # the Airy key of (1e7, 3) is 1e21; three keys of (1.5e6, 0) fit one by
+    # one but not summed over a 3-fold tuple
+    g4 = MixedNormSpec(p=4, time_mode="global")
+    g6 = MixedNormSpec(p=6, time_mode="global")
+    with pytest.raises(ValueError, match="int64"):
+        mixed_norm_free(TrigPoly.single(sqrt2_spec, (10**7, 3)), AIRY, g6)
+    f = TrigPoly.single(sqrt2_spec, (1_500_000, 0))
+    assert mixed_norm_free(f, AIRY, g4) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match="int64"):
+        mixed_norm_free(f, AIRY, g6)
 
 
 def test_float_mode_has_no_keys():

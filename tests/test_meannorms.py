@@ -17,7 +17,13 @@ from qpwave import (
     predicted_exponent,
 )
 from qpwave.evolution import propagate
-from conftest import oracle_mean_p4, oracle_mean_p6, random_poly
+from conftest import (
+    float_twin,
+    oracle_global_mean,
+    oracle_mean_p4,
+    oracle_mean_p6,
+    random_poly,
+)
 
 SCHROD = DispersionSymbol.schrodinger()
 
@@ -186,18 +192,37 @@ def test_global_mean_torus_oracle(int_spec):
 
 
 def test_global_mean_exact_vs_float_clustering(sqrt2_spec):
-    # the float fallback must agree with exact resonance keys on generic data
-    from qpwave import LatticeSpec
+    # the float fallback must agree with exact resonance keys, and both with
+    # the brute-force oracle: at heights where float rate sums carry roundoff,
+    # where distinct rate sums lie 1e-12 apart relative to their size, on
+    # data whose small frequencies come from large indices (3363 - 2378 sqrt2
+    # is 1.5e-4), and on a d = 2 lattice
+    from qpwave import LatticeSpec, QScalar
     from qpwave.meannorms import global_product_norm_sq
 
-    rng = np.random.default_rng(30)
-    f = random_poly(sqrt2_spec, 8, rng, box=3)
-    exact = global_product_norm_sq([f, f], SCHROD)
+    d2_spec = LatticeSpec([[QScalar(Fraction(11, 10))], [QScalar(Fraction(13, 10))]])
+    for spec, seed, p, shift in (
+        (sqrt2_spec, 30, 4, (0, 0)),
+        (sqrt2_spec, 30, 6, (10**3, 0)),
+        (sqrt2_spec, 30, 6, (10**5, 0)),
+        (sqrt2_spec, 1, 6, (49821, 92332)),
+        (sqrt2_spec, 9, 6, (3363, -2378)),
+        (d2_spec, 31, 6, (10**3, 10**3)),
+    ):
+        f = random_poly(spec, 8, np.random.default_rng(seed), box=3).shift(shift)
+        k = p // 2
+        exact = global_product_norm_sq([f] * k, SCHROD)
+        assert exact == pytest.approx(oracle_global_mean(f, k), rel=1e-12)
+        fallback = global_product_norm_sq([float_twin(f)] * k, SCHROD)
+        assert fallback == pytest.approx(exact, rel=1e-9)
 
-    fspec = LatticeSpec([[1.0, math.sqrt(2.0)]], check_height=0)  # float twin
-    ff = TrigPoly(fspec, dict(f.items()))
-    fallback = global_product_norm_sq([ff, ff], SCHROD)
-    assert fallback == pytest.approx(exact, rel=1e-9)
+
+def test_lp_numeric_window_at_large_height(sqrt2_spec):
+    # equal 3-fold frequency sums near 1e4 differ by roundoff (~1e-12); taken
+    # for the smallest gap, they sized the window for a 1e20-point grid
+    f = random_poly(sqrt2_spec, 5, np.random.default_rng(4), box=10**4)
+    exact = lp_norm_exact(f, 6)
+    assert lp_norm_numeric(f, 6) == pytest.approx(exact, rel=0.05)
 
 
 # -- fitting and prediction ---------------------------------------------------------
