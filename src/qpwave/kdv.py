@@ -52,22 +52,19 @@ def require_real_field(u: TrigPoly, tol: float = 1e-12) -> TrigPoly:
 
 
 def mean_zero_part(u: TrigPoly) -> TrigPoly:
-    zero = (0,) * u.spec.rank
-    if u.coeff(zero) == 0:
-        return u
-    return TrigPoly(u.spec, {n: c for n, c in u.items() if n != zero})
+    idx, vals = u.as_arrays()
+    nonzero = idx.any(axis=1)
+    return u if nonzero.all() else TrigPoly.from_arrays(u.spec, idx[nonzero], vals[nonzero])
 
 
 def real_field_to_dict(u: TrigPoly, tol: float = 1e-12) -> dict:
     """Half-spectrum JSON for real fields: only indices whose first nonzero
     component is positive are stored, with a flag for conjugate rebuild."""
     require_real_field(u, tol)
-    rows = []
-    for n, c in sorted(u.items()):
-        lead = next((x for x in n if x != 0), 0)
-        if lead > 0:
-            rows.append({"n": list(n), "re": float(c.real), "im": float(c.imag)})
-    return {"spec": u.spec.to_dict(), "hermitian": True, "coeffs": rows}
+    idx, vals = u.as_arrays()
+    lead = idx[np.arange(len(idx)), np.argmax(idx != 0, axis=1)]
+    half = TrigPoly.from_arrays(u.spec, idx[lead > 0], vals[lead > 0])
+    return {"spec": u.spec.to_dict(), "hermitian": True, "coeffs": half.to_dict()["coeffs"]}
 
 
 def real_field_from_dict(obj: dict) -> TrigPoly:

@@ -30,6 +30,7 @@ __all__ = [
     "float_lattice",
     "ball_indices",
     "shell_indices",
+    "in_shell",
     "count_in_interval",
     "max_unit_interval_count",
     "min_gap",
@@ -236,15 +237,18 @@ def ball_indices(spec: LatticeSpec, radius: float, budget: int | None = None) ->
     h2 = (idx * idx).sum(axis=1)
     return idx[h2 <= radius * radius]
 
-def shell_indices(spec: LatticeSpec, C: int, budget: int | None = None) -> np.ndarray:
-    """Indices in the dyadic height shell: C/2 < |n| <= C, with |n| <= 1 for C = 1."""
+
+def in_shell(h2, C: int):
+    """Mask of squared heights h2 in the dyadic shell C/2 < |n| <= C (|n| <= 1 for C = 1)."""
     if C < 1 or (C & (C - 1)) != 0:
         raise ValueError(f"shell parameter must be a dyadic integer >= 1, got {C}")
+    return (h2 <= 1) if C == 1 else ((4 * h2 > C * C) & (h2 <= C * C))
+
+
+def shell_indices(spec: LatticeSpec, C: int, budget: int | None = None) -> np.ndarray:
+    """Indices in the dyadic height shell: C/2 < |n| <= C, with |n| <= 1 for C = 1."""
     idx = _box_grid(spec.rank, C, budget)
-    h2 = (idx * idx).sum(axis=1)
-    if C == 1:
-        return idx[h2 <= 1]
-    return idx[(4 * h2 > C * C) & (h2 <= C * C)]
+    return idx[in_shell((idx * idx).sum(axis=1), C)]
 
 
 # -- counting ---------------------------------------------------------------------

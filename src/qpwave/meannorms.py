@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -159,21 +160,17 @@ def lp_norm_numeric(
 
 def evolved_factor_data(f: TrigPoly, symbol: DispersionSymbol, conjugated: bool = False):
     """Per-mode data of one product factor: (indices, coefficients, phase
-    rates, exact phase keys, and only without keys the float rate scales).  A
-    conjugated factor carries negated indices, coefficients, rates and keys."""
+    rates, exact phase keys or None).  A conjugated factor carries negated
+    indices, coefficients, rates and keys."""
     poly = f.conj() if conjugated else f
     idx, vals = poly.as_arrays()
     rates = symbol.phase_rates(poly)
     keys = symbol.phase_rate_keys(poly)
-    # a float rate is exact to a few roundoff units of the law with absolute
-    # coefficients at the frequency sum_i |n_i| omega_i (generators are > 0)
-    law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
-    scales = np.abs(law.rates_for_indices(poly.spec, np.abs(idx))) if keys is None else None
     if conjugated:
         rates = -rates
         if keys is not None:
             keys = -keys
-    return idx, vals, rates, keys, scales
+    return idx, vals, rates, keys
 
 
 def _outer(a, b, op=np.add):
@@ -201,23 +198,22 @@ def _phase_groups(idx, key, rate=None):
 def _fold_tuple_data(datas, budget):
     """Combine per-factor mode data into tuple data: index sums, products,
     rate sums, and summed exact keys (merged when equal along with the index
-    sum; ValueError if a sum could leave int64) or else summed rate scales."""
+    sum; ValueError if a sum could leave int64), None in float mode."""
     exact = datas[0][3] is not None
     if exact:
         bound = sum(int(np.abs(d[3]).max(initial=0)) for d in datas)
         if bound > np.iinfo(np.int64).max:
             raise ValueError("tuple phase key sums exceed the int64 range")
-    phases = [d[3] if exact else d[4] for d in datas]
-    acc_idx, acc_val, acc_rate = datas[0][:3]
-    acc_key = phases[0]
+    acc_idx, acc_val, acc_rate, acc_key = datas[0]
     work = len(acc_val)
-    for (idx, vals, rates, *_), key in zip(datas[1:], phases[1:]):
+    for idx, vals, rates, key in datas[1:]:
         work *= len(vals)
         _budget.check(work, budget, what="tuple enumeration")
         _budget.check_memory(len(acc_val) * len(vals), what="tuple table")
         acc_idx, acc_rate = _outer(acc_idx, idx), _outer(acc_rate, rates)
-        acc_val, acc_key = _outer(acc_val, vals, np.multiply), _outer(acc_key, key)
+        acc_val = _outer(acc_val, vals, np.multiply)
         if exact:  # merge exact duplicates to keep structured inputs compact
+            acc_key = _outer(acc_key, key)
             order, cuts = _phase_groups(acc_idx, acc_key)
             first = order[cuts]
             acc_idx, acc_rate, acc_key = acc_idx[first], acc_rate[first], acc_key[first]
@@ -268,7 +264,15 @@ def global_product_norm_sq(polys, symbol, budget=None) -> float:
         return 0.0
     datas = [evolved_factor_data(f, symbol) for f in polys]
     idx, val, rate, key = _fold_tuple_data(datas, budget)
-    order, cuts = _phase_groups(idx, key, None if datas[0][3] is not None else rate)
+    if key is None:
+        # float mode: a rate is exact to a few roundoff units of the law with
+        # absolute coefficients at sum_i |n_i| omega_i (generators are > 0); the
+        # fold merged nothing, so these scales sum over the same outer products
+        law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
+        scales = [np.abs(law.rates_for_indices(f.spec, np.abs(f.as_arrays()[0]))) for f in polys]
+        order, cuts = _phase_groups(idx, reduce(_outer, scales), rate)
+    else:
+        order, cuts = _phase_groups(idx, key)
     sums = np.add.reduceat(val[order], cuts)
     return float((sums.real**2 + sums.imag**2).sum())
 

@@ -373,7 +373,7 @@ def first_picard_iterate(
     nfac = 2 * power - 1
     datas = [evolved_factor_data(f, symbol, conjugated=bool(j % 2)) for j in range(nfac - 1)]
     base_idx, base_val, base_rate, _ = _fold_tuple_data(datas, budget)
-    last_idx, last_val, last_rate, *_ = evolved_factor_data(f, symbol)
+    last_idx, last_val, last_rate, _ = evolved_factor_data(f, symbol)
     _budget.check(len(base_val) * len(last_val), budget, what="Duhamel tuple sum")
 
     spec = f.spec
@@ -434,9 +434,6 @@ def _scan_family(spec, C, budget=None) -> TrigPoly:
     """Concentration family at height C; rank-1 fallback: unit-frequency modes."""
     if spec.rank >= 2:
         return extremizer(spec, int(C), budget=budget)
-    modes = {}
-    for n in (-1, 0, 1):
-        lam = spec.freq_float(np.array([[n]], dtype=np.int64))[0]
-        if abs(lam) <= 1.0:
-            modes[(n,)] = 1.0
-    return TrigPoly(spec, modes)
+    idx = np.array([[-1], [0], [1]], dtype=np.int64)
+    keep = np.abs(spec.freq_float(idx)) <= 1.0
+    return TrigPoly.from_arrays(spec, idx[keep], np.ones(int(keep.sum())))

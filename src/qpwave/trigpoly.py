@@ -2,9 +2,11 @@
 
 Coefficients live on finitely many integer indices; the function they
 represent is the finite sum of e^{i <frequency(n), x>} times the coefficient.
-Stored form is canonical: no zero coefficients, and after float arithmetic
-coefficients below 1e-15 of the largest magnitude are dropped as rounding
-dust.  All operations return new objects; nothing mutates in place.
+Stored form is canonical: one lexicographically sorted (M, rank) int64 index
+array without repeated rows and one (M,) complex coefficient array without
+zeros, both read-only; after float arithmetic coefficients below 1e-15 of the
+largest magnitude are dropped as rounding dust.  All operations return new
+objects; nothing mutates in place.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from . import budget as _budget
 from .errors import DegenerateExtremizerError
 from .kernels import group_sum
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, in_shell
+from .scalars import QScalar
 
 __all__ = [
     "TrigPoly",
@@ -46,24 +49,29 @@ class SobolevSpec:
 
 
 class TrigPoly:
-    __slots__ = ("spec", "_coeffs", "_cache")
+    __slots__ = ("spec", "_idx", "_vals")
 
     def __init__(self, spec: LatticeSpec, coeffs, prune: bool = False):
-        cleaned: dict[tuple[int, ...], complex] = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for n, c in items:
-            n = spec.check_index(n)
-            c = complex(c)
-            if c != 0:
-                cleaned[n] = cleaned.get(n, 0.0) + c
-        cleaned = {n: c for n, c in cleaned.items() if c != 0}
-        if prune and cleaned:
-            top = max(abs(c) for c in cleaned.values())
-            cut = PRUNE_REL * top
-            cleaned = {n: c for n, c in cleaned.items() if abs(c) >= cut}
+        pairs = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+        idx = np.array([spec.check_index(n) for n, _ in pairs], dtype=np.int64)
+        vals = np.array([c for _, c in pairs], dtype=complex)
+        self._store(spec, idx.reshape(len(pairs), spec.rank), vals, prune)
+
+    def _store(self, spec, idx, vals, prune):
+        """The one canonicalising step: sum repeated rows (sorting them), drop
+        zeros and, with ``prune``, the dust below PRUNE_REL of the largest."""
+        idx, vals = group_sum(idx, vals)
+        vals = vals + 0.0  # signed zeros (from negation, conjugation) become +0.0
+        keep = vals != 0
+        if prune and keep.any():
+            mag = np.abs(vals)
+            keep &= mag >= PRUNE_REL * mag.max()
+        idx, vals = idx[keep], vals[keep]
+        idx.flags.writeable = False
+        vals.flags.writeable = False
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_coeffs", cleaned)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_idx", idx)
+        object.__setattr__(self, "_vals", vals)
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigPoly is immutable")
@@ -80,53 +88,50 @@ class TrigPoly:
 
     @classmethod
     def from_arrays(cls, spec, idx: np.ndarray, coeffs: np.ndarray, prune=False):
-        return cls(spec, zip(map(tuple, np.asarray(idx, dtype=np.int64).tolist()),
-                             coeffs.tolist()), prune=prune)
+        """From an (M, rank) index array and M coefficients; repeated rows add up."""
+        idx = np.asarray(idx, dtype=np.int64)
+        vals = np.asarray(coeffs, dtype=complex)
+        if idx.shape != (len(vals), spec.rank):
+            raise ValueError(
+                f"index array of shape {idx.shape} does not fit {len(vals)} "
+                f"coefficients on a rank-{spec.rank} lattice"
+            )
+        f = cls.__new__(cls)
+        f._store(spec, idx, vals, prune)
+        return f
 
     # -- access -------------------------------------------------------------------
 
     def coeff(self, n) -> complex:
-        return self._coeffs.get(tuple(n), 0.0)
+        hit = np.flatnonzero((self._idx == self.spec.check_index(n)).all(axis=1))
+        return complex(self._vals[hit[0]]) if len(hit) else 0.0
+
+    def _as_dict(self) -> dict:
+        return dict(zip(map(tuple, self._idx.tolist()), self._vals.tolist()))
 
     @property
     def support(self):
-        return self._coeffs.keys()
+        """Set-like view of the indices, in index order."""
+        return self._as_dict().keys()
 
     def items(self):
-        return self._coeffs.items()
+        return self._as_dict().items()
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._vals)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return len(self._vals) > 0
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, coefficients) in lexicographic index order (deterministic)."""
-        got = self._cache.get("arrays")
-        if got is None:
-            if self._coeffs:
-                keys = sorted(self._coeffs)
-                idx = np.array(keys, dtype=np.int64)
-                vals = np.array([self._coeffs[k] for k in keys], dtype=complex)
-            else:
-                idx = np.zeros((0, self.spec.rank), dtype=np.int64)
-                vals = np.zeros(0, dtype=complex)
-            got = (idx, vals)
-            self._cache["arrays"] = got
-        return got
+        """The stored (indices, coefficients), in lexicographic index order; read-only."""
+        return self._idx, self._vals
 
     def freqs_float(self) -> np.ndarray:
-        got = self._cache.get("freqs")
-        if got is None:
-            idx, _ = self.as_arrays()
-            got = self.spec.freq_float(idx)
-            self._cache["freqs"] = got
-        return got
+        return self.spec.freq_float(self._idx)
 
     def heights_sq(self) -> np.ndarray:
-        idx, _ = self.as_arrays()
-        return (idx * idx).sum(axis=1)
+        return (self._idx * self._idx).sum(axis=1)
 
     # -- linear algebra -------------------------------------------------------------
 
@@ -138,10 +143,9 @@ class TrigPoly:
         if not isinstance(other, TrigPoly):
             return NotImplemented
         self._check_same_spec(other)
-        out = dict(self._coeffs)
-        for n, c in other._coeffs.items():
-            out[n] = out.get(n, 0.0) + c
-        return TrigPoly(self.spec, out, prune=True)
+        idx = np.concatenate([self._idx, other._idx])
+        vals = np.concatenate([self._vals, other._vals])
+        return TrigPoly.from_arrays(self.spec, idx, vals, prune=True)
 
     def __sub__(self, other):
         if not isinstance(other, TrigPoly):
@@ -149,52 +153,44 @@ class TrigPoly:
         return self + (-other)
 
     def __neg__(self):
-        return TrigPoly(self.spec, {n: -c for n, c in self._coeffs.items()})
+        return TrigPoly.from_arrays(self.spec, self._idx, -self._vals)
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             return multiply(self, other)
-        return TrigPoly(self.spec, {n: c * other for n, c in self._coeffs.items()})
+        return TrigPoly.from_arrays(self.spec, self._idx, self._vals * other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def conj(self) -> "TrigPoly":
         """Complex conjugate: coefficient at n becomes conj(coefficient at -n)."""
-        return TrigPoly(
-            self.spec,
-            {tuple(-x for x in n): c.conjugate() for n, c in self._coeffs.items()},
-        )
+        return TrigPoly.from_arrays(self.spec, -self._idx, self._vals.conj())
 
     def shift(self, m) -> "TrigPoly":
-        m = self.spec.check_index(m)
-        return TrigPoly(
-            self.spec,
-            {tuple(a + b for a, b in zip(n, m)): c for n, c in self._coeffs.items()},
-        )
+        m = np.array(self.spec.check_index(m), dtype=np.int64)
+        return TrigPoly.from_arrays(self.spec, self._idx + m, self._vals)
 
     # -- norms ------------------------------------------------------------------------
 
     def l2_norm(self) -> float:
-        if not self._coeffs:
-            return 0.0
-        _, vals = self.as_arrays()
+        vals = self._vals
         return float(np.sqrt((vals.real**2 + vals.imag**2).sum()))
 
     def is_real_valued(self, tol: float = 1e-12) -> bool:
-        scale = max((abs(c) for c in self._coeffs.values()), default=0.0)
-        for n, c in self._coeffs.items():
-            m = tuple(-x for x in n)
-            if abs(self._coeffs.get(m, 0.0) - c.conjugate()) > tol * max(scale, 1.0):
-                return False
-        return True
+        """Hermitian symmetry: |c(-n) - conj c(n)| <= tol * max(max |c|, 1) at every n."""
+        if not self:
+            return True
+        idx, vals = self._idx, self._vals
+        _, gap = group_sum(np.concatenate([idx, -idx]), np.concatenate([vals, -vals.conj()]))
+        return bool(np.abs(gap).max() <= tol * max(float(np.abs(vals).max()), 1.0))
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Pointwise values on a 1-d sample grid (d = 1 only)."""
         if self.spec.d != 1:
             raise ValueError("evaluate requires d = 1")
         xs = np.asarray(xs, dtype=float)
-        idx, vals = self.as_arrays()
+        vals = self._vals
         lam = self.freqs_float()
         out = np.zeros(xs.shape, dtype=complex)
         # chunk modes to bound the (modes x samples) temporary
@@ -207,8 +203,8 @@ class TrigPoly:
 
     def to_dict(self) -> dict:
         rows = [
-            {"n": list(n), "re": float(c.real), "im": float(c.imag)}
-            for n, c in sorted(self._coeffs.items())
+            {"n": n, "re": c.real, "im": c.imag}
+            for n, c in zip(self._idx.tolist(), self._vals.tolist())
         ]
         return {"spec": self.spec.to_dict(), "coeffs": rows}
 
@@ -222,7 +218,7 @@ class TrigPoly:
         return cls(spec, coeffs)
 
     def __repr__(self):
-        return f"TrigPoly({len(self._coeffs)} modes on rank-{self.spec.rank} lattice)"
+        return f"TrigPoly({len(self)} modes on rank-{self.spec.rank} lattice)"
 
 
 # -- lattice convolution ------------------------------------------------------------------
@@ -246,74 +242,49 @@ def multiply(f: TrigPoly, g: TrigPoly, budget: int | None = None) -> TrigPoly:
 # -- projections ------------------------------------------------------------------------------
 
 
+def _subset(f: TrigPoly, keep: np.ndarray) -> TrigPoly:
+    idx, vals = f.as_arrays()
+    return TrigPoly.from_arrays(f.spec, idx[keep], vals[keep])
+
+
 def project_height(f: TrigPoly, C: int) -> TrigPoly:
     """Keep the coefficients whose index height lies in the dyadic shell of C."""
-    if C < 1 or (C & (C - 1)) != 0:
-        raise ValueError(f"shell parameter must be a dyadic integer >= 1, got {C}")
-    kept = {}
-    for n, c in f.items():
-        h2 = sum(x * x for x in n)
-        if (h2 <= 1) if C == 1 else (4 * h2 > C * C and h2 <= C * C):
-            kept[n] = c
-    return TrigPoly(f.spec, kept)
+    return _subset(f, in_shell(f.heights_sq(), C))
 
 
 def project_ball(f: TrigPoly, radius: float) -> TrigPoly:
     """Keep indices with Euclidean height <= radius (Galerkin truncation)."""
-    r2 = float(radius) * float(radius)
-    return TrigPoly(f.spec, {n: c for n, c in f.items() if sum(x * x for x in n) <= r2})
+    return _subset(f, f.heights_sq() <= float(radius) * float(radius))
 
 
-def _abs_freq_shell_test(spec, n, lam_float, N, margin):
-    """|frequency| in (N/2, N] (N=1: <= 1), decided exactly on the boundary."""
-    a = abs(lam_float)
-    lo, hi = (0.0, 1.0) if N == 1 else (N / 2.0, float(N))
-    if a < hi - margin and (N == 1 or a > lo + margin):
-        return True
-    if a > hi + margin or (N != 1 and a < lo - margin):
-        return False
-    if spec.exact and spec.d == 1:
-        lam = abs(spec.freq1(n))
-        if N == 1:
-            return lam <= 1
-        return lam > Fraction(N, 2) and lam <= N
-    # float mode: sharp comparison
-    if N == 1:
-        return a <= hi
-    return lo < a <= hi
+def _freq_band(spec, idx, mag, lo, hi, margin) -> np.ndarray:
+    """Mask of frequency moduli mag in (lo, hi] (lo None: mag <= hi); in exact
+    mode rows within margin of a bound are decided on the exact squared modulus."""
+    flo = -np.inf if lo is None else float(lo)
+    inside = (mag < hi - margin) & (mag > flo + margin)
+    outside = (mag > hi + margin) | (mag < flo - margin)
+    keep = inside | (~outside & (mag > flo) & (mag <= hi))
+    if spec.exact:
+        for k in np.flatnonzero(~inside & ~outside):
+            sq = sum((x * x for x in spec.freq(idx[k])), QScalar(0))
+            keep[k] = sq <= hi * hi and (lo is None or sq > lo * lo)
+    return keep
 
 
 def project_freq(f: TrigPoly, N: int) -> TrigPoly:
     """Keep coefficients with |frequency| in the dyadic band (N/2, N] (N=1: <= 1)."""
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"band parameter must be a dyadic integer >= 1, got {N}")
-    idx, vals = f.as_arrays()
-    if len(idx) == 0:
-        return TrigPoly.zero(f.spec)
     lam = f.freqs_float()
-    if f.spec.d == 1:
-        margin = 1e-9 * (1.0 + N)
-        kept = {
-            tuple(int(x) for x in idx[k]): vals[k]
-            for k in range(len(idx))
-            if _abs_freq_shell_test(f.spec, tuple(idx[k]), lam[k], N, margin)
-        }
-        return TrigPoly(f.spec, kept)
-    mag = np.sqrt((lam * lam).sum(axis=1))
-    keep = (mag <= 1.0) if N == 1 else ((mag > N / 2.0) & (mag <= float(N)))
-    return TrigPoly.from_arrays(f.spec, idx[keep], vals[keep])
+    mag = np.abs(lam) if f.spec.d == 1 else np.sqrt((lam * lam).sum(axis=1))
+    lo = None if N == 1 else Fraction(N, 2)
+    return _subset(f, _freq_band(f.spec, f.as_arrays()[0], mag, lo, N, 1e-9 * (1.0 + N)))
 
 
 def project_cube(f: TrigPoly, a, C: float) -> TrigPoly:
     """Keep indices within Euclidean distance C of the center index a."""
-    a = f.spec.check_index(a)
-    c2 = float(C) * float(C)
-    kept = {
-        n: v
-        for n, v in f.items()
-        if sum((x - y) * (x - y) for x, y in zip(n, a)) <= c2
-    }
-    return TrigPoly(f.spec, kept)
+    off = f.as_arrays()[0] - np.array(f.spec.check_index(a), dtype=np.int64)
+    return _subset(f, (off * off).sum(axis=1) <= float(C) * float(C))
 
 
 # -- weighted norms ------------------------------------------------------------------------------
@@ -347,8 +318,6 @@ def extremizer(spec: LatticeSpec, C: int, budget: int | None = None) -> TrigPoly
         raise ValueError("extremizer requires d = 1")
     if spec.rank < 2:
         raise ValueError("extremizer requires rank >= 2")
-    if C < 1 or (C & (C - 1)) != 0:
-        raise ValueError(f"shell parameter must be a dyadic integer >= 1, got {C}")
     r = spec.rank
     w = spec.float_omega(0)
     w_last = w[-1]
@@ -367,23 +336,10 @@ def extremizer(spec: LatticeSpec, C: int, budget: int | None = None) -> TrigPoly
     ks = kmin[rows] + offsets
     idx = np.concatenate([head[rows], ks[:, None]], axis=1)
 
-    h2 = (idx * idx).sum(axis=1)
-    in_shell = (h2 <= 1) if C == 1 else ((4 * h2 > C * C) & (h2 <= C * C))
-    idx = idx[in_shell]
-    lam = spec.freq_float(idx)
-    margin = 1e-9
-    sure = np.abs(lam) <= 1.0 - margin
-    near = np.flatnonzero(np.abs(np.abs(lam) - 1.0) <= margin)
-    keep = [tuple(int(x) for x in row) for row in idx[sure]]
-    for k in near:
-        n = tuple(int(x) for x in idx[k])
-        if spec.exact:
-            if abs(spec.freq1(n)) <= 1:
-                keep.append(n)
-        elif abs(lam[k]) <= 1.0:
-            keep.append(n)
-    if not keep:
+    idx = idx[in_shell((idx * idx).sum(axis=1), C)]
+    keep = _freq_band(spec, idx, np.abs(spec.freq_float(idx)), None, 1, 1e-9)
+    if not keep.any():
         raise DegenerateExtremizerError(
             f"no shell-{C} indices with frequency modulus <= 1"
         )
-    return TrigPoly(spec, {n: 1.0 for n in keep})
+    return TrigPoly.from_arrays(spec, idx[keep], np.ones(int(keep.sum())))

@@ -1,10 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qpwave import LatticeSpec, QScalar, TrigPoly, integer_lattice, sqrt2_lattice
+from qpwave.trigpoly import PRUNE_REL
 
 try:
     from hypothesis import settings
@@ -110,6 +112,89 @@ def oracle_global_mean(f: TrigPoly, k: int) -> float:
         key = (index_sum, rate_sum)
         groups[key] = groups.get(key, 0.0) + math.prod(c for _, c in tup)
     return sum(abs(v) ** 2 for v in groups.values())
+
+
+class DictPoly:
+    """Dict-of-tuples reference for TrigPoly: repeated indices summed left to
+    right onto 0.0, zero sums dropped, and with ``prune`` the coefficients
+    below PRUNE_REL of the largest magnitude; frequency bands decided on the
+    exact squared modulus (QScalar) or, in float mode, by a sharp comparison."""
+
+    def __init__(self, spec, pairs, prune=False):
+        out = {}
+        for n, c in pairs:
+            n, c = tuple(int(x) for x in n), complex(c)
+            if c != 0:
+                out[n] = out.get(n, 0.0) + c
+        out = {n: c for n, c in out.items() if c != 0}
+        if prune and out:
+            cut = PRUNE_REL * max(abs(c) for c in out.values())
+            out = {n: c for n, c in out.items() if abs(c) >= cut}
+        self.spec, self.coeffs = spec, out
+
+    def _map(self, fn, prune=False):
+        return DictPoly(self.spec, [fn(n, c) for n, c in self.coeffs.items()], prune)
+
+    def _keep(self, test):
+        return DictPoly(self.spec, [(n, c) for n, c in self.coeffs.items() if test(n)])
+
+    def __add__(self, other):
+        return DictPoly(self.spec, [*self.coeffs.items(), *other.coeffs.items()], prune=True)
+
+    def __neg__(self):
+        return self._map(lambda n, c: (n, -c))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        return self._map(lambda n, c: (n, c * s))
+
+    def conj(self):
+        return self._map(lambda n, c: (tuple(-x for x in n), c.conjugate()))
+
+    def shift(self, m):
+        return self._map(lambda n, c: (tuple(a + b for a, b in zip(n, m)), c))
+
+    def coeff(self, n):
+        return self.coeffs.get(tuple(n), 0.0)
+
+    def is_real_valued(self, tol=1e-12):
+        scale = max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return all(
+            abs(self.coeff(tuple(-x for x in n)) - c.conjugate()) <= tol * max(scale, 1.0)
+            for n, c in self.coeffs.items()
+        )
+
+    def project_height(self, C):
+        def in_shell(n):
+            h2 = sum(x * x for x in n)
+            return h2 <= 1 if C == 1 else C * C < 4 * h2 <= 4 * C * C
+
+        return self._keep(in_shell)
+
+    def project_ball(self, radius):
+        return self._keep(lambda n: sum(x * x for x in n) <= radius * radius)
+
+    def project_cube(self, a, C):
+        return self._keep(lambda n: sum((x - y) ** 2 for x, y in zip(n, a)) <= C * C)
+
+    def project_freq(self, N):
+        def in_band(n):
+            if self.spec.exact:
+                sq = sum((x * x for x in self.spec.freq(n)), QScalar(0))
+                return sq <= N * N and (N == 1 or sq > Fraction(N * N, 4))
+            lam = self.spec.freq_float(np.array([n]))[0]
+            mag = abs(lam) if self.spec.d == 1 else math.sqrt((lam * lam).sum())
+            return mag <= N and (N == 1 or mag > N / 2)
+
+        return self._keep(in_band)
+
+    def to_dict(self):
+        rows = [
+            {"n": list(n), "re": c.real, "im": c.imag} for n, c in sorted(self.coeffs.items())
+        ]
+        return {"spec": self.spec.to_dict(), "coeffs": rows}
 
 
 def float_twin(f: TrigPoly) -> TrigPoly:

@@ -25,6 +25,17 @@ def test_canonical_form_drops_zeros(sqrt2_spec):
     assert len(f) == 1
 
 
+def test_stored_arrays_are_read_only(sqrt2_spec):
+    f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (0, 1): 2.0})
+    idx, vals = f.as_arrays()
+    with pytest.raises(ValueError):
+        vals[0] = 5.0
+    with pytest.raises(ValueError):
+        idx[0, 0] = 7
+    assert f.coeff((0, 1)) == 2.0
+    assert f.l2_norm() == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+
 def test_project_height_shell_membership(sqrt2_spec):
     # |(3,3)| = sqrt(18) > 4 lies outside the (2,4] shell, so R_4 keeps nothing
     f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (3, 3): 1.0})
