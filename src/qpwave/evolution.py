@@ -45,6 +45,11 @@ class DispersionSymbol:
     def polynomial(cls, coeffs) -> "DispersionSymbol":
         return cls("polynomial", tuple(float(c) for c in coeffs))
 
+    def check_dimension(self, d: int) -> None:
+        """Only the Schroedinger law is defined for d > 1."""
+        if d != 1 and self.kind != "schrodinger":
+            raise ValueError(f"{self.kind} dispersion requires d = 1")
+
     # -- float phase rates ------------------------------------------------------
 
     def phase_rates(self, f: TrigPoly) -> np.ndarray:
@@ -59,8 +64,7 @@ class DispersionSymbol:
             if d == 1:
                 return -lam * lam
             return -(lam * lam).sum(axis=1)
-        if d != 1:
-            raise ValueError(f"{self.kind} dispersion requires d = 1")
+        self.check_dimension(d)
         if self.kind == "airy":
             return lam**3
         out = np.zeros_like(lam)
@@ -84,8 +88,7 @@ class DispersionSymbol:
         spec = f.spec
         if not spec.exact or self.kind == "polynomial":
             return None
-        if self.kind == "airy" and spec.d != 1:
-            raise ValueError("airy dispersion requires d = 1")
+        self.check_dimension(spec.d)
         gens = [x for block in spec.omega for x in block]
         den = math.lcm(*(c.denominator for x in gens for c in (x.a, x.b)))
         D = max(x.d for x in gens)

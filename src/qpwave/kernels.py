@@ -43,13 +43,17 @@ def group_boundaries(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 def group_sum(idx: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``values`` over equal rows of ``idx``; returns (unique rows, sums)."""
+    """Sum ``values`` over equal rows of ``idx``; returns (unique rows, sums) in
+    lexicographic row order.  Rows that already strictly increase come back
+    as given (the input arrays, not copies)."""
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim == 1:
         idx = idx[:, None]
     if len(idx) == 0:
         return idx, np.asarray(values)
     keys = pack_rows(idx)
+    if (keys[1:] > keys[:-1]).all():  # already sorted and unique: every group is one row
+        return idx, np.asarray(values)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     idx = idx[order]

@@ -77,12 +77,11 @@ def mean_value(f: TrigPoly) -> complex:
 
 
 def mean_value_numeric(f: TrigPoly, L: float, points: int = 200_001) -> complex:
-    """Trapezoid average over [-L, L]; cross-validates the exact mean."""
+    """Trapezoid average over [-L, L]; cross-validates the exact mean.  The
+    samples come from ``TrigPoly.evaluate`` on a ``linspace`` grid (block and
+    offset phases, d = 1 only)."""
     xs = np.linspace(-L, L, points)
-    vals = f.evaluate(xs)
-    re = np.trapezoid(vals.real, xs) / (2 * L)
-    im = np.trapezoid(vals.imag, xs) / (2 * L)
-    return complex(re, im)
+    return complex(np.trapezoid(f.evaluate(xs), xs) / (2 * L))
 
 
 # -- exact mean L^p norms (even p) ---------------------------------------------------
@@ -134,7 +133,10 @@ def lp_norm_numeric(
 
     Without an explicit L the window is sized from the smallest spacing of
     p/2-fold frequency sums, which controls the slowest surviving oscillation
-    of |f|^p.
+    of |f|^p.  |f| is sampled by ``TrigPoly.evaluate`` on a uniform
+    ``linspace`` grid with at least ``min_points_per_period`` points per
+    period of the fastest mode (block and offset phase tables, one matrix
+    product; d = 1 only).
     """
     if f.spec.d != 1:
         raise ValueError("numeric mean norms require d = 1")
@@ -258,7 +260,14 @@ def windowed_product_norm_sq(polys, symbol, T, budget=None) -> float:
 
 def global_product_norm_sq(polys, symbol, budget=None) -> float:
     """Global time-mean of the squared mean L^2 norm of the evolved product:
-    only exactly phase-matched tuples survive the averaging."""
+    only exactly phase-matched tuples survive the averaging.
+
+    Exact lattices decide resonance on int64 phase keys.  Float mode groups
+    rate sums that agree within RESONANCE_FLOAT_TOL of their summed term
+    sizes; that is validated on boosted small-box data up to heights of about
+    1e5.  Near 1e6 distinct rate sums can lie closer than the tolerance and
+    are then merged without any error, so the result can be wrong there.
+    """
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
@@ -287,10 +296,10 @@ def mixed_norm_free(
 
     Windowed mode: the L^p([0,T], mean-L^p) norm, evaluated exactly through
     per-tuple time integrals.  Global mode: the mean over all of time-space,
-    the resonant-diagonal sum.
+    the resonant-diagonal sum.  Any spatial dimension d for the Schroedinger
+    law; the Airy and polynomial laws raise ``ValueError`` on d > 1.
     """
-    if f.spec.d != 1:
-        raise ValueError("mixed norms are implemented for d = 1")
+    symbol.check_dimension(f.spec.d)
     p = mspec.p
     if p == 2:
         if mspec.time_mode == "window":

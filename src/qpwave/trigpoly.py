@@ -11,6 +11,7 @@ objects; nothing mutates in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,18 +187,45 @@ class TrigPoly:
         return bool(np.abs(gap).max() <= tol * max(float(np.abs(vals).max()), 1.0))
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """Pointwise values on a 1-d sample grid (d = 1 only)."""
+        """Pointwise values on a uniform 1-d grid such as ``np.linspace`` (d = 1 only).
+
+        With x0 = xs[0], h = (xs[-1] - xs[0]) / (n - 1) and K = isqrt(n - 1) + 1,
+        sample j = bK + k is x0 + h bK + h k, so f there is the product of a block
+        phase table (modes x blocks, times the coefficients) and an offset phase
+        table (modes x K): one matrix product and about 2 sqrt(n) exponentials
+        per mode.  Points further than 8 ulps of the larger endpoint from that
+        grid raise ``ValueError``.
+        """
         if self.spec.d != 1:
             raise ValueError("evaluate requires d = 1")
         xs = np.asarray(xs, dtype=float)
-        vals = self._vals
-        lam = self.freqs_float()
-        out = np.zeros(xs.shape, dtype=complex)
-        # chunk modes to bound the (modes x samples) temporary
-        step = max(1, int(4_000_000 / max(len(xs), 1)))
-        for k in range(0, len(vals), step):
-            out += vals[k : k + step] @ np.exp(1j * np.outer(lam[k : k + step], xs))
-        return out
+        if xs.ndim != 1:
+            raise ValueError("evaluate requires a uniform grid")
+        n = len(xs)
+        if n == 0:
+            return np.zeros(0, dtype=complex)
+        x0, x1 = float(xs[0]), float(xs[-1])
+        h = (x1 - x0) / max(n - 1, 1)  # linspace's own step
+        drift = np.arange(n, dtype=float)  # |xs - (x0 + h j)|, in place
+        drift *= h
+        drift += x0
+        drift -= xs
+        if not np.abs(drift, out=drift).max() <= 8 * np.spacing(max(abs(x0), abs(x1))):
+            raise ValueError("evaluate requires a uniform grid")
+        if not self:
+            return np.zeros(n, dtype=complex)
+        K = math.isqrt(n - 1) + 1
+        starts = x0 + h * (K * np.arange(-(-n // K)))
+        offsets = h * np.arange(K)
+        vals, lam = self._vals, self.freqs_float()
+        # chunk modes to bound the (modes x (blocks + K)) phase tables
+        step = max(1, 4_000_000 // (len(starts) + K))
+        for i in range(0, len(vals), step):
+            lk = lam[i : i + step, None]
+            blocks = vals[i : i + step, None] * np.exp(1j * (lk * starts))
+            part = blocks.T @ np.exp(1j * (lk * offsets))  # row b, column k: sample bK + k
+            grid = part if i == 0 else grid + part
+        return grid.ravel()[:n]
 
     # -- JSON ---------------------------------------------------------------------------
 

@@ -114,6 +114,20 @@ def oracle_global_mean(f: TrigPoly, k: int) -> float:
     return sum(abs(v) ** 2 for v in groups.values())
 
 
+def oracle_evaluate(f: TrigPoly, xs) -> np.ndarray:
+    """Pointwise values by one complex exponential per mode and sample (any
+    points, not only a uniform grid); modes are chunked to bound the
+    (modes x samples) temporary."""
+    xs = np.asarray(xs, dtype=float)
+    _, vals = f.as_arrays()
+    lam = f.freqs_float()
+    out = np.zeros(xs.shape, dtype=complex)
+    step = max(1, int(4_000_000 / max(len(xs), 1)))
+    for k in range(0, len(vals), step):
+        out += vals[k : k + step] @ np.exp(1j * np.outer(lam[k : k + step], xs))
+    return out
+
+
 class DictPoly:
     """Dict-of-tuples reference for TrigPoly: repeated indices summed left to
     right onto 0.0, zero sums dropped, and with ``prune`` the coefficients

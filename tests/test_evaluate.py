@@ -1,0 +1,96 @@
+"""Grid evaluation against the per-sample oracle.
+
+``TrigPoly.evaluate`` builds its samples from block and offset phase tables;
+``conftest.oracle_evaluate`` takes one complex exponential per mode and
+sample.  They must agree to a few roundoff units of the largest phase,
+eps * max|lambda| * max|x|, times the coefficient mass, on every lattice
+family, grid size (including the edges of the K x K block layout) and
+window, and ``evaluate`` must refuse what is not a uniform 1-d grid.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from qpwave import LatticeSpec, TrigPoly, integer_lattice, sqrt2_lattice
+from conftest import oracle_evaluate
+
+EPS = np.finfo(float).eps
+SPECS = {
+    "sqrt2": sqrt2_lattice(),
+    "integer": integer_lattice(),
+    "float_rank3": LatticeSpec([[1.0, math.sqrt(2.0), math.sqrt(3.0)]]),
+}
+
+
+def assert_matches_oracle(f, xs):
+    got, want = f.evaluate(xs), oracle_evaluate(f, xs)
+    assert got.shape == want.shape == xs.shape
+    lam_max = float(np.abs(f.freqs_float()).max(initial=0.0))
+    x_max = float(np.abs(xs).max(initial=0.0))
+    mass = float(np.abs(f.as_arrays()[1]).sum())
+    tol = 8 * EPS * max(1.0, lam_max) * max(1.0, x_max) * mass
+    assert np.abs(got - want).max(initial=0.0) <= tol
+
+
+@st.composite
+def polys(draw):
+    spec = SPECS[draw(st.sampled_from(sorted(SPECS)))]
+    index = st.tuples(*[st.integers(-(10**4), 10**4)] * spec.rank)
+    support = draw(st.lists(index, max_size=12, unique=True))
+    coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0)
+    return TrigPoly(spec, {n: draw(coeff) for n in support})
+
+
+@st.composite
+def sizes(draw):
+    # the edges of the block layout (K = isqrt(n - 1) + 1 offsets per block)
+    # and random sizes
+    K = draw(st.integers(2, 40))
+    edge = st.sampled_from([1, 2, 3, K * K - 1, K * K, K * K + 1])
+    return draw(st.one_of(edge, st.integers(0, 3000)))
+
+
+WIDTH = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@given(polys(), sizes(), st.floats(1e-3, 1e5), st.floats(-1.0, 1.0), WIDTH)
+def test_evaluate_matches_oracle(f, n, L, centre, width):
+    # a window of half-width width * L inside [-L, L], centred at centre * L
+    a = max(-L, centre * L - width * L)
+    b = min(L, centre * L + width * L)
+    assert_matches_oracle(f, np.linspace(a, b, n))
+
+
+def test_evaluate_chunks_modes():
+    # more modes than one 4M-element (modes x (blocks + K)) table holds
+    n = 100
+    K = math.isqrt(n - 1) + 1
+    per_chunk = 4_000_000 // (-(-n // K) + K)
+    rng = np.random.default_rng(11)
+    m = per_chunk + per_chunk // 4
+    idx = np.stack([np.arange(m) - m // 2, rng.integers(-50, 51, m)], axis=1)
+    vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    f = TrigPoly.from_arrays(SPECS["sqrt2"], idx, vals)
+    assert len(f) > per_chunk
+    assert_matches_oracle(f, np.linspace(-30.0, 70.0, n))
+
+
+def test_evaluate_refuses_non_uniform_points():
+    f = TrigPoly(SPECS["sqrt2"], {(1, 0): 1.0, (0, 1): 0.5j})
+    xs = np.linspace(-1e3, 1e3, 1001)
+    xs[400] += 1e-6
+    with pytest.raises(ValueError, match="uniform grid"):
+        f.evaluate(xs)
+    with pytest.raises(ValueError, match="uniform grid"):
+        f.evaluate(np.linspace(0.0, 1.0, 12).reshape(3, 4))
+
+
+def test_evaluate_refuses_d2():
+    spec = LatticeSpec([[1.0], [math.sqrt(2.0)]])
+    with pytest.raises(ValueError, match="d = 1"):
+        TrigPoly.single(spec, (1, 1)).evaluate(np.linspace(0.0, 1.0, 5))

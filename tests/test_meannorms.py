@@ -217,6 +217,31 @@ def test_global_mean_exact_vs_float_clustering(sqrt2_spec):
         assert fallback == pytest.approx(exact, rel=1e-9)
 
 
+def test_mixed_norm_free_d2():
+    # both time modes on a d = 2 lattice: the global mean against the
+    # brute-force resonance oracle, the window against a 60-node Gauss-Legendre
+    # time quadrature of the exact mean L^p norm of the evolved data
+    from qpwave import LatticeSpec, QScalar
+
+    spec = LatticeSpec([[QScalar(Fraction(11, 10))], [QScalar(Fraction(13, 10))]])
+    f = random_poly(spec, 8, np.random.default_rng(5), box=3)
+    T = 0.5
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+    for p in (4, 6):
+        glob = mixed_norm_free(f, SCHROD, MixedNormSpec(p=p, time_mode="global")) ** p
+        assert glob == pytest.approx(oracle_global_mean(f, p // 2), rel=1e-12)
+        window = mixed_norm_free(f, SCHROD, MixedNormSpec(p=p, time_mode="window", T=T)) ** p
+        quad = T / 2 * sum(
+            w * lp_norm_exact(propagate(f, SCHROD, T * (x + 1) / 2), p) ** p
+            for x, w in zip(nodes, weights)
+        )
+        assert window == pytest.approx(quad, rel=1e-10)
+        assert window != pytest.approx(T * glob, rel=1e-3)  # non-resonant tuples matter
+    for p in (2, 4):  # the Airy law is defined on d = 1 only, whatever p
+        with pytest.raises(ValueError, match="requires d = 1"):
+            mixed_norm_free(f, DispersionSymbol.airy(), MixedNormSpec(p=p, time_mode="global"))
+
+
 def test_lp_numeric_window_at_large_height(sqrt2_spec):
     # equal 3-fold frequency sums near 1e4 differ by roundoff (~1e-12); taken
     # for the smallest gap, they sized the window for a 1e20-point grid
