@@ -9,7 +9,6 @@ flipping these signs, so only internal consistency matters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,34 +77,26 @@ class DispersionSymbol:
         """Exact per-mode phase identifiers: an (M, 2) int64 array, or None in
         float mode and for custom polynomials.
 
-        With generator coordinates (A + B sqrt D) / den over one common
-        denominator, a frequency component is (P + Q sqrt D) / den, P and Q
-        integer dot products of the index block with A and B.  The rate times
-        den^2 (Schroedinger, any d) or den^3 (Airy, d = 1) is a + b sqrt D, and
-        the key is (a, b): equal keys iff equal rates.  A key that could leave
-        the int64 range, bounded first in Python integers, raises ValueError.
+        A frequency component is (P + Q sqrt D) / den in the integer
+        coordinates the lattice stores (``LatticeSpec.exact_coords``).  The rate
+        times den^2 (Schroedinger, any d) or den^3 (Airy, d = 1) is a + b sqrt D,
+        and the key is (a, b): equal keys iff equal rates.  A key that could
+        leave the int64 range, bounded first in Python integers, raises ValueError.
         """
         spec = f.spec
         if not spec.exact or self.kind == "polynomial":
             return None
         self.check_dimension(spec.d)
-        gens = [x for block in spec.omega for x in block]
-        den = math.lcm(*(c.denominator for x in gens for c in (x.a, x.b)))
-        D = max(x.d for x in gens)
         idx, _ = f.as_arrays()
         keys = np.zeros((len(idx), 2), dtype=np.int64)
         bound = 0
-        for i, block in enumerate(spec.omega):
-            A = [int(x.a * den) for x in block]
-            B = [int(x.b * den) for x in block]
-            sub = idx[:, spec.block(i)]
-            top = np.abs(sub).max(axis=0, initial=0).tolist()
-            P_max, Q_max = (sum(m * abs(c) for m, c in zip(top, C)) for C in (A, B))
-            bound += max(abs(k) for k in self._key_parts(P_max, Q_max, D))
+        for i in range(spec.d):
+            P, Q = spec.exact_coords(idx[:, spec.block(i)], i)
+            tops = (int(np.abs(X).max(initial=0)) for X in (P, Q))
+            bound += max(abs(k) for k in self._key_parts(*tops, spec.radicand))
             if bound > np.iinfo(np.int64).max:
                 raise ValueError("exact phase keys exceed the int64 range")
-            P, Q = sub @ np.array(A, dtype=np.int64), sub @ np.array(B, dtype=np.int64)
-            keys += np.stack(self._key_parts(P, Q, D), axis=1)
+            keys += np.stack(self._key_parts(P, Q, spec.radicand), axis=1)
         return keys
 
     def _key_parts(self, P, Q, D):

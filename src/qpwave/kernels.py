@@ -1,4 +1,4 @@
-"""Shared array kernels: index packing, grouped reduction, and phi1.
+"""Shared array kernels: index packing, grouped reduction, exact surd signs, phi1.
 
 All reductions here are deterministic: rows are ordered by a stable lexsort
 before ``reduceat``, so results do not depend on input order.
@@ -60,6 +60,18 @@ def group_sum(idx: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     values = np.asarray(values)[order]
     cuts = group_boundaries(keys)
     return idx[cuts], np.add.reduceat(values, cuts)
+
+
+def surd_sign(a, b, D: int) -> np.ndarray:
+    """Exact elementwise sign (int64) of a + b sqrt(D), D >= 1 an integer, on object
+    arrays of Python ints or Fractions: the sign a and b share, or else the sign of
+    the term that dominates in a^2 against D b^2 (equal only for a square D: zero)."""
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    sa, sb = np.sign(a).astype(np.int64), np.sign(b).astype(np.int64)
+    out = np.where(sa != 0, sa, sb)
+    mixed = sa * sb < 0
+    out[mixed] *= np.sign(a[mixed] ** 2 - D * b[mixed] ** 2).astype(np.int64)
+    return out
 
 
 def phi1(z: np.ndarray | complex) -> np.ndarray | complex:

@@ -13,6 +13,7 @@ box probe can only catch more integer relations than the inscribed ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import budget as _budget
 from .errors import ResonantLatticeError
+from .kernels import surd_sign
 from .scalars import QScalar, as_exact
 
 __all__ = [
@@ -41,12 +43,10 @@ __all__ = [
 
 
 def _coerce_entry(x):
-    if isinstance(x, QScalar):
-        return x
-    if isinstance(x, (int, Rational)):
-        return as_exact(x)
     if isinstance(x, float):
         return float(x)
+    if isinstance(x, (int, Rational, QScalar)):
+        return as_exact(x)
     raise TypeError(f"generator entries must be numbers or QScalar, got {type(x)!r}")
 
 
@@ -54,11 +54,13 @@ class LatticeSpec:
     """Generator data: spatial dimension d, ranks nu, per-dimension generators.
 
     Entries are either all exact (QScalar / rationals, one common quadratic
-    field) or all floats.  Exact mode keeps frequency comparisons and
-    resonance detection sound; float mode uses a 1e-12 coincidence tolerance.
+    field) or all floats; float mode uses a 1e-12 coincidence tolerance.  Exact
+    lattices store integer generator coordinates over one denominator ``den``
+    in Q(sqrt ``radicand``); every exact decision runs on ``exact_coords``.
     """
 
-    __slots__ = ("d", "nu", "omega", "exact", "_float_omega", "_blocks")
+    __slots__ = ("d", "nu", "omega", "exact", "_float_omega", "_blocks", "den", "radicand",
+                 "_coords")
 
     def __init__(self, omega, d: int | None = None, check_height: int = 1):
         # omega: list of per-dimension generator vectors; a flat vector means d=1
@@ -76,12 +78,14 @@ class LatticeSpec:
         has_float = any(isinstance(x, float) for b in blocks for x in b)
         if has_float:
             blocks = [[float(x) for x in b] for b in blocks]
-            exact = False
+            exact, den, radicand, coords = False, None, None, None
         else:
             fields = {x.d for b in blocks for x in b if x.d != 1}
             if len(fields) > 1:
                 raise ValueError(f"generators mix quadratic fields {sorted(fields)}")
-            exact = True
+            exact, radicand = True, max(fields, default=1)
+            den = math.lcm(*(c.denominator for b in blocks for x in b for c in (x.a, x.b)))
+            coords = tuple([[int(c * den) for c in (x.a, x.b)] for x in b] for b in blocks)
 
         for b in blocks:
             for x in b:
@@ -92,6 +96,9 @@ class LatticeSpec:
         object.__setattr__(self, "nu", tuple(len(b) for b in blocks))
         object.__setattr__(self, "omega", tuple(tuple(b) for b in blocks))
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "radicand", radicand)
+        object.__setattr__(self, "_coords", coords)
         object.__setattr__(
             self,
             "_float_omega",
@@ -124,10 +131,6 @@ class LatticeSpec:
     def float_omega(self, i: int = 0) -> np.ndarray:
         return self._float_omega[i]
 
-    @property
-    def float_omega_flat(self) -> np.ndarray:
-        return np.concatenate(self._float_omega)
-
     def __eq__(self, other):
         return (
             isinstance(other, LatticeSpec)
@@ -153,17 +156,9 @@ class LatticeSpec:
     def freq(self, n) -> tuple:
         """Frequency vector of index n: one dot product per dimension."""
         n = self.check_index(n)
-        out = []
-        for i in range(self.d):
-            blk = n[self.block(i)]
-            acc = None
-            for c, w in zip(blk, self.omega[i]):
-                term = c * w
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = QScalar(0) if self.exact else 0.0
-            out.append(acc)
-        return tuple(out)
+        zero = QScalar(0) if self.exact else 0.0
+        blocks = (zip(n[self.block(i)], self.omega[i]) for i in range(self.d))
+        return tuple(sum((c * w for c, w in blk), zero) for blk in blocks)
 
     def freq1(self, n):
         """Scalar frequency for one-dimensional lattices."""
@@ -176,6 +171,19 @@ class LatticeSpec:
         idx = np.asarray(idx, dtype=np.int64)
         cols = [idx[:, self.block(i)] @ self._float_omega[i] for i in range(self.d)]
         return cols[0] if self.d == 1 else np.stack(cols, axis=1)
+
+    def exact_coords(self, sub: np.ndarray, i: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Integer coordinates of frequency component i for the (M, nu[i]) block-i
+        index columns ``sub``: int64 (P, Q) with component (P + Q sqrt radicand) / den.
+        Bounded first in Python integers: ValueError if they could leave int64."""
+        if not self.exact:
+            raise ValueError("exact coordinates require an exact lattice")
+        sub = np.asarray(sub, dtype=np.int64)
+        top = np.abs(sub).max(axis=0, initial=1).tolist()
+        AB = self._coords[i]  # generator j of block i is (A_j + B_j sqrt radicand) / den
+        if sum(m * (abs(a) + abs(b)) for m, (a, b) in zip(top, AB)) > np.iinfo(np.int64).max:
+            raise ValueError("exact frequency coordinates exceed the int64 range")
+        return tuple(np.array(AB, dtype=np.int64).T @ sub.T)
 
     # -- JSON -------------------------------------------------------------------
 
@@ -254,13 +262,6 @@ def shell_indices(spec: LatticeSpec, C: int, budget: int | None = None) -> np.nd
 # -- counting ---------------------------------------------------------------------
 
 
-def _exact_in_interval(spec, n, lo, hi, include_lo, include_hi) -> bool:
-    lam = spec.freq1(n)
-    lo_ok = (lam >= lo) if include_lo else (lam > lo)
-    hi_ok = (lam <= hi) if include_hi else (lam < hi)
-    return lo_ok and hi_ok
-
-
 def count_in_interval(
     spec: LatticeSpec,
     C: int,
@@ -272,38 +273,34 @@ def count_in_interval(
 ) -> int:
     """Number of shell-C indices whose frequency lies in the interval [lo, hi).
 
-    Endpoint inclusion is configurable; boundary-grazing frequencies are
-    decided exactly in exact mode.
+    Endpoint inclusion is configurable.  In exact mode, frequencies within the
+    float margin of an endpoint are decided exactly (a float endpoint at its
+    binary value); an endpoint from a quadratic field other than the
+    lattice's raises ValueError, while rational lattices accept any field.
     """
     if spec.d != 1:
         raise ValueError("count_in_interval requires d = 1")
+    if spec.exact:
+        ends = [as_exact(x if isinstance(x, (int, Rational, QScalar)) else Fraction(float(x)))
+                for x in (lo, hi)]
+        if spec.radicand != 1 and any(e.d not in (1, spec.radicand) for e in ends):
+            raise ValueError(f"interval endpoints {lo}, {hi} lie outside Q(sqrt {spec.radicand})")
     idx = shell_indices(spec, C, budget)
     lam = spec.freq_float(idx)
     flo, fhi = float(lo), float(hi)
     if flo > fhi:
         raise ValueError("empty interval bounds")
     margin = 1e-9 * (1.0 + abs(flo) + abs(fhi))
-    inside = (lam > flo + margin) & (lam < fhi - margin)
-    count = int(inside.sum())
-    near = np.flatnonzero(
-        (np.abs(lam - flo) <= margin) | (np.abs(lam - fhi) <= margin)
-    )
-    if len(near) == 0:
-        return count
-    if spec.exact:
-        lo_x = lo if isinstance(lo, (int, Rational, QScalar)) else Fraction(float(lo))
-        hi_x = hi if isinstance(hi, (int, Rational, QScalar)) else Fraction(float(hi))
-        for row in idx[near]:
-            if _exact_in_interval(spec, tuple(row), lo_x, hi_x, include_lo, include_hi):
-                count += 1
-    else:
-        for row in near:
-            v = lam[row]
-            lo_ok = v >= flo if include_lo else v > flo
-            hi_ok = v <= fhi if include_hi else v < fhi
-            if lo_ok and hi_ok:
-                count += 1
-    return count
+    near = np.flatnonzero((np.abs(lam - flo) <= margin) | (np.abs(lam - fhi) <= margin))
+    signs = [np.sign(lam - flo), np.sign(lam - fhi)]  # of lam - endpoint
+    if spec.exact and len(near):
+        P, Q = (X.astype(object) for X in spec.exact_coords(idx[near]))
+        for sign, e in zip(signs, ends):
+            den_diff = P - e.a * spec.den, Q - e.b * spec.den  # den (lam - e)
+            sign[near] = surd_sign(*den_diff, max(spec.radicand, e.d))
+    lo_ok = signs[0] >= 0 if include_lo else signs[0] > 0
+    hi_ok = signs[1] <= 0 if include_hi else signs[1] < 0
+    return int((lo_ok & hi_ok).sum())
 
 
 def max_unit_interval_count(
@@ -332,7 +329,10 @@ def max_unit_interval_count(
 def _dim_box_min(spec, i, H, budget):
     """Min |frequency| over the punctured box |m|_inf <= H in dimension block i.
 
-    Returns (min value as float, argmin index tuple).  Exact zeros raise.
+    Returns (min value as float, argmin index tuple).  In exact mode the rows
+    near the float minimum are decided on their integer coordinates: a zero
+    (P = Q = 0) raises, the minimiser is chosen on cancellation-free floats,
+    and its exact value is returned correctly rounded.
     """
     rank = spec.nu[i]
     idx = _box_grid(rank, H, budget)
@@ -341,24 +341,22 @@ def _dim_box_min(spec, i, H, budget):
     scale = 1e-12 * (1.0 + float(np.abs(spec.float_omega(i)).sum()) * H)
     j = int(np.argmin(vals))
     if spec.exact:
-        suspects = np.flatnonzero(vals <= max(scale, vals[j] * (1 + 1e-9)))
-        best = None
-        for row in idx[suspects]:
-            acc = QScalar(0)
-            for c, w in zip(row, spec.omega[i]):
-                acc = acc + int(c) * w
-            if acc.is_zero:
-                raise ResonantLatticeError(
-                    f"generators of dimension {i} satisfy the integer relation "
-                    f"{tuple(int(x) for x in row)}",
-                    relation=tuple(int(x) for x in row),
-                )
-            v = abs(float(acc))
-            if best is None or v < best[0]:
-                best = (v, tuple(int(x) for x in row))
-        if best is not None and best[0] < vals[j]:
-            return best
-        return float(vals[j]), tuple(int(x) for x in idx[j])
+        rows = idx[vals <= max(scale, vals[j] * (1 + 1e-9))]
+        P, Q = (X.astype(object) for X in spec.exact_coords(rows, i))
+        zero = np.flatnonzero((P == 0) & (Q == 0))
+        if len(zero):
+            relation = tuple(int(x) for x in rows[zero[0]])
+            raise ResonantLatticeError(
+                f"generators of dimension {i} satisfy the integer relation {relation}",
+                relation=relation,
+            )
+        # |P + Q sqrt D| without cancellation: |P^2 - D Q^2| / (|P| + |Q| sqrt D) on mixed signs
+        D = spec.radicand
+        size = np.abs(P).astype(float) + np.abs(Q).astype(float) * math.sqrt(D)
+        size = np.where(P * Q < 0, np.abs(P * P - D * Q * Q).astype(float) / size, size)
+        k = int(np.argmin(size))
+        exact = QScalar(Fraction(P[k], spec.den), Fraction(Q[k], spec.den), D)
+        return abs(float(exact)), tuple(int(x) for x in rows[k])
     if vals[j] <= scale:
         raise ResonantLatticeError(
             f"float-mode frequency {vals[j]:.3e} at {tuple(int(x) for x in idx[j])} "

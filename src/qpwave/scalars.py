@@ -148,10 +148,6 @@ class QScalar:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         a, b = self.a, self.b
         if b == 0:

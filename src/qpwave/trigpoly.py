@@ -19,9 +19,8 @@ import numpy as np
 
 from . import budget as _budget
 from .errors import DegenerateExtremizerError
-from .kernels import group_sum
+from .kernels import group_sum, surd_sign
 from .lattice import LatticeSpec, in_shell
-from .scalars import QScalar
 
 __all__ = [
     "TrigPoly",
@@ -287,15 +286,21 @@ def project_ball(f: TrigPoly, radius: float) -> TrigPoly:
 
 def _freq_band(spec, idx, mag, lo, hi, margin) -> np.ndarray:
     """Mask of frequency moduli mag in (lo, hi] (lo None: mag <= hi); in exact
-    mode rows within margin of a bound are decided on the exact squared modulus."""
+    mode rows within margin of a bound are decided on the exact squared modulus
+    den^2 |lam|^2 = a + b sqrt D, against (hi den)^2 and (lo den)^2."""
     flo = -np.inf if lo is None else float(lo)
     inside = (mag < hi - margin) & (mag > flo + margin)
     outside = (mag > hi + margin) | (mag < flo - margin)
     keep = inside | (~outside & (mag > flo) & (mag <= hi))
-    if spec.exact:
-        for k in np.flatnonzero(~inside & ~outside):
-            sq = sum((x * x for x in spec.freq(idx[k])), QScalar(0))
-            keep[k] = sq <= hi * hi and (lo is None or sq > lo * lo)
+    near = np.flatnonzero(~inside & ~outside)
+    if spec.exact and len(near):
+        a = b = 0
+        for i in range(spec.d):
+            P, Q = (X.astype(object) for X in spec.exact_coords(idx[near][:, spec.block(i)], i))
+            a, b = a + P * P + spec.radicand * Q * Q, b + 2 * P * Q
+        keep[near] = surd_sign(a - (hi * spec.den) ** 2, b, spec.radicand) <= 0
+        if lo is not None:
+            keep[near] &= surd_sign(a - (lo * spec.den) ** 2, b, spec.radicand) > 0
     return keep
 
 

@@ -85,6 +85,19 @@ def test_count_zero_width_closed_interval(sqrt2_spec):
     assert count_in_interval(sqrt2_spec, 8, 5, 5, include_hi=False) == 0
 
 
+def test_count_refuses_endpoint_from_another_field(sqrt2_spec, int_spec):
+    # no sqrt2 frequency lies near sqrt 3, so a float decision would pass silently
+    with pytest.raises(ValueError, match="outside Q\\(sqrt 2\\)"):
+        count_in_interval(sqrt2_spec, 8, QScalar.sqrt(3), 6)
+    with pytest.raises(ValueError, match="outside Q\\(sqrt 2\\)"):
+        count_in_interval(sqrt2_spec, 8, 0, QScalar(1, 1, 5))
+    # a rational lattice accepts an endpoint from any field
+    shell = [n for n in range(-8, 9) if 16 < n * n <= 64]
+    for lo, hi in ((QScalar.sqrt(3), 6), (-8, QScalar.sqrt(30))):
+        oracle = sum(1 for n in shell if lo <= n < hi)
+        assert count_in_interval(int_spec, 8, lo, hi) == oracle
+
+
 def test_count_partition_additivity(sqrt2_spec):
     whole = count_in_interval(sqrt2_spec, 16, -2, 3)
     parts = sum(
@@ -131,6 +144,15 @@ def test_min_gap_continued_fraction_oracle(sqrt2_spec):
         )
         assert gap == pytest.approx(best, rel=1e-12)
     assert res.beta == pytest.approx(1.0, abs=0.25)
+
+
+def test_gaps_report_the_exact_minimum(sqrt2_spec):
+    # the float dot products 17 - 12*fl(sqrt2) and -99 + 70*fl(sqrt2) cancel;
+    # the reported gap is the exact minimum, correctly rounded
+    assert min_gap(sqrt2_spec, 16).gap == abs(float(QScalar(17, -12, 2)))
+    res = nonresonance_check(sqrt2_spec, 128)
+    assert res.argmin == (-99, 70)
+    assert res.min_abs == abs(float(QScalar(-99, 70, 2)))
 
 
 def test_min_gap_integer_lattice(int_spec):
