@@ -277,27 +277,33 @@ def count_in_interval(
     float margin of an endpoint are decided exactly (a float endpoint at its
     binary value); an endpoint from a quadratic field other than the
     lattice's raises ValueError, while rational lattices accept any field.
+    An infinite endpoint is never near a frequency and is compared in float
+    in both modes; a NaN endpoint raises ValueError.
     """
     if spec.d != 1:
         raise ValueError("count_in_interval requires d = 1")
-    if spec.exact:
-        ends = [as_exact(x if isinstance(x, (int, Rational, QScalar)) else Fraction(float(x)))
-                for x in (lo, hi)]
-        if spec.radicand != 1 and any(e.d not in (1, spec.radicand) for e in ends):
+    flo, fhi = float(lo), float(hi)
+    if math.isnan(flo) or math.isnan(fhi):
+        raise ValueError("interval endpoints must not be NaN")
+    if flo > fhi:
+        raise ValueError("empty interval bounds")
+    if spec.exact:  # an infinite endpoint is never near a frequency: None, float sign
+        ends = [as_exact(x if isinstance(x, (int, Rational, QScalar)) else Fraction(fx))
+                if math.isfinite(fx) else None for x, fx in ((lo, flo), (hi, fhi))]
+        fields = {e.d for e in ends if e is not None}
+        if spec.radicand != 1 and not fields <= {1, spec.radicand}:
             raise ValueError(f"interval endpoints {lo}, {hi} lie outside Q(sqrt {spec.radicand})")
     idx = shell_indices(spec, C, budget)
     lam = spec.freq_float(idx)
-    flo, fhi = float(lo), float(hi)
-    if flo > fhi:
-        raise ValueError("empty interval bounds")
-    margin = 1e-9 * (1.0 + abs(flo) + abs(fhi))
+    margin = 1e-9 * (1.0 + sum(abs(x) for x in (flo, fhi) if math.isfinite(x)))
     near = np.flatnonzero((np.abs(lam - flo) <= margin) | (np.abs(lam - fhi) <= margin))
     signs = [np.sign(lam - flo), np.sign(lam - fhi)]  # of lam - endpoint
     if spec.exact and len(near):
         P, Q = (X.astype(object) for X in spec.exact_coords(idx[near]))
         for sign, e in zip(signs, ends):
-            den_diff = P - e.a * spec.den, Q - e.b * spec.den  # den (lam - e)
-            sign[near] = surd_sign(*den_diff, max(spec.radicand, e.d))
+            if e is not None:
+                den_diff = P - e.a * spec.den, Q - e.b * spec.den  # den (lam - e)
+                sign[near] = surd_sign(*den_diff, max(spec.radicand, e.d))
     lo_ok = signs[0] >= 0 if include_lo else signs[0] > 0
     hi_ok = signs[1] <= 0 if include_hi else signs[1] < 0
     return int((lo_ok & hi_ok).sum())

@@ -6,11 +6,16 @@ coefficient products by their index sum turns it into a sum of squared group
 totals, which is exact, manifestly nonnegative, and O(M^(p/2)).
 
 The windowed space-time norm of a free evolution carries one time integral
-per tuple, evaluated in closed form through phi1(z) = (e^z - 1)/z; the
-globally averaged norm keeps only tuples whose dispersive phases cancel
-exactly.  On an exact lattice (any d) that is decided on int64 phase keys,
-the rates scaled by the generators' common denominator; in float mode rate
-sums coincide within RESONANCE_FLOAT_TOL of the summed sizes of their terms.
+per pair of tuples with equal index sum, T phi1(iT(r_i - r_j)) with
+phi1(z) = (e^z - 1)/z.  Groups of equal size are paired in (k, s, s) blocks,
+and the phases are factored: with e_i = e^{iT r_i} (taken relative to the
+group's first rate) the kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)), so
+only pairs with |T(r_i - r_j)| < 1, where that numerator cancels, evaluate
+phi1.  The globally averaged norm keeps only tuples whose dispersive phases
+cancel exactly.  On an exact lattice (any d) that is decided on int64 phase
+keys, the rates scaled by the generators' common denominator; in float mode
+rate sums coincide within RESONANCE_FLOAT_TOL of the summed sizes of their
+terms.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ __all__ = [
 # distinct sums of boosted small-box data at heights up to 1e5 by >= 8e-13.
 RESONANCE_FLOAT_TOL = 1e-14
 IMAG_RESIDUE_TOL = 1e-12
+# Pairs per (k, s, s) block of the windowed pairing: one numpy pass per block
+# while its complex temporaries stay a few MB.
+PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -223,9 +231,30 @@ def _fold_tuple_data(datas, budget):
     return acc_idx, acc_val, acc_rate, acc_key
 
 
+def _pair_block_sum(v, r, e, T):
+    """Sum of v_i conj(v_j) T phi1(iT(r_i - r_j)) over the full s x s square of
+    each of k groups, given (k, s) values, rates and phases e_i = e^{iT(r_i - c)}
+    (any c per group).  The kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)); only
+    pairs with |T(r_i - r_j)| < 1, where that numerator cancels, call phi1."""
+    dr = r[:, :, None] - r[:, None, :]
+    small = np.abs(T * dr) < 1.0
+    kern = (e[:, :, None] * e[:, None, :].conj() - 1.0) / (1j * np.where(small, 1.0, dr))
+    kern[small] = T * phi1(1j * T * dr[small])
+    return (v[:, :, None] * v[:, None, :].conj() * kern).sum()
+
+
 def windowed_product_norm_sq(polys, symbol, T, budget=None) -> float:
     """Integral over [0, T] of the squared mean L^2 norm of the product of the
-    free evolutions of ``polys``; exact up to roundoff."""
+    free evolutions of ``polys``; exact up to roundoff.
+
+    Tuples are grouped by index sum; each group of s tuples contributes its
+    s x s pair sum of v_i conj(v_j) T phi1(iT(r_i - r_j)).  Groups of equal
+    size are batched into (k, s, s) pair blocks of about PAIR_BLOCK pairs.
+    Phases are factored: e_i = e^{iT(r_i - r_g)}, with r_g the rate of the
+    group's first tuple, is computed once per tuple, so a pair's kernel is
+    (e_i conj(e_j) - 1) / (i(r_i - r_j)) without a transcendental; pairs with
+    |T(r_i - r_j)| < 1, where the numerator loses relative accuracy, keep phi1.
+    """
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
@@ -235,21 +264,17 @@ def windowed_product_norm_sq(polys, symbol, T, budget=None) -> float:
     order = np.argsort(packed, kind="stable")
     packed, val, rate = packed[order], val[order], rate[order]
     cuts = group_boundaries(packed)
-    bounds = np.r_[cuts, len(packed)]
-    sizes = np.diff(bounds)
+    sizes = np.diff(np.r_[cuts, len(packed)])
     _budget.check(int((sizes.astype(np.int64) ** 2).sum()), budget, what="windowed tuple pairing")
     T = float(T)
+    phase = np.exp(1j * T * (rate - np.repeat(rate[cuts], sizes)))
     total = 0.0 + 0.0j
-    singles = sizes == 1
-    if singles.any():
-        v = val[bounds[:-1][singles]]
-        total += ((v.real**2 + v.imag**2) * T).sum()
-    for i in np.flatnonzero(~singles):
-        lo, hi = bounds[i], bounds[i + 1]
-        v = val[lo:hi]
-        r = rate[lo:hi]
-        integ = T * phi1(1j * T * (r[:, None] - r[None, :]))
-        total += (v[:, None] * v[None, :].conj() * integ).sum()
+    for s in np.unique(sizes):
+        starts = cuts[sizes == s]
+        step = max(1, PAIR_BLOCK // int(s * s))
+        for lo in range(0, len(starts), step):
+            rows = starts[lo : lo + step, None] + np.arange(s)
+            total += _pair_block_sum(val[rows], rate[rows], phase[rows], T)
     re, im = float(total.real), float(total.imag)
     if abs(im) > IMAG_RESIDUE_TOL * max(abs(re), 1e-300):
         raise NumericConsistencyError(

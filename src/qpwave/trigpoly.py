@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 PRUNE_REL = 1e-15
+# A float frequency lies within a few roundoff units of its row's summed term
+# scale sum_j |n_j| omega_j; band decisions widen their margin by this much.
+FREQ_FLOAT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -286,11 +289,14 @@ def project_ball(f: TrigPoly, radius: float) -> TrigPoly:
 
 def _freq_band(spec, idx, mag, lo, hi, margin) -> np.ndarray:
     """Mask of frequency moduli mag in (lo, hi] (lo None: mag <= hi); in exact
-    mode rows within margin of a bound are decided on the exact squared modulus
+    mode rows within margin, widened by FREQ_FLOAT_TOL of the row's summed term
+    scale, of a bound are decided on the exact squared modulus
     den^2 |lam|^2 = a + b sqrt D, against (hi den)^2 and (lo den)^2."""
+    scale = spec.freq_float(np.abs(idx)).reshape(len(idx), spec.d).sum(axis=1)
+    margin = margin + FREQ_FLOAT_TOL * scale
     flo = -np.inf if lo is None else float(lo)
-    inside = (mag < hi - margin) & (mag > flo + margin)
-    outside = (mag > hi + margin) | (mag < flo - margin)
+    inside = (hi - mag > margin) & (mag - flo > margin)
+    outside = (mag - hi > margin) | (flo - mag > margin)
     keep = inside | (~outside & (mag > flo) & (mag <= hi))
     near = np.flatnonzero(~inside & ~outside)
     if spec.exact and len(near):

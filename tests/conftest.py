@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from qpwave import LatticeSpec, QScalar, TrigPoly, integer_lattice, sqrt2_lattice
+from qpwave.errors import NumericConsistencyError
+from qpwave.kernels import group_boundaries, pack_rows, phi1
+from qpwave.meannorms import IMAG_RESIDUE_TOL, _fold_tuple_data, evolved_factor_data
 from qpwave.trigpoly import PRUNE_REL
 
 try:
@@ -112,6 +115,41 @@ def oracle_global_mean(f: TrigPoly, k: int) -> float:
         key = (index_sum, rate_sum)
         groups[key] = groups.get(key, 0.0) + math.prod(c for _, c in tup)
     return sum(abs(v) ** 2 for v in groups.values())
+
+
+def oracle_windowed(polys, symbol, T) -> float:
+    """Windowed tuple pairing by one phi1 call per index-sum group on the
+    shared tuple fold: the per-group loop that preceded the size-bucketed,
+    factored-phase engine of ``windowed_product_norm_sq``."""
+    polys = list(polys)
+    if any(not f for f in polys):
+        return 0.0
+    datas = [evolved_factor_data(f, symbol) for f in polys]
+    idx, val, rate, _ = _fold_tuple_data(datas, None)
+    packed = pack_rows(idx)
+    order = np.argsort(packed, kind="stable")
+    packed, val, rate = packed[order], val[order], rate[order]
+    cuts = group_boundaries(packed)
+    bounds = np.r_[cuts, len(packed)]
+    sizes = np.diff(bounds)
+    T = float(T)
+    total = 0.0 + 0.0j
+    singles = sizes == 1
+    if singles.any():
+        v = val[bounds[:-1][singles]]
+        total += ((v.real**2 + v.imag**2) * T).sum()
+    for i in np.flatnonzero(~singles):
+        lo, hi = bounds[i], bounds[i + 1]
+        v = val[lo:hi]
+        r = rate[lo:hi]
+        integ = T * phi1(1j * T * (r[:, None] - r[None, :]))
+        total += (v[:, None] * v[None, :].conj() * integ).sum()
+    re, im = float(total.real), float(total.imag)
+    if abs(im) > IMAG_RESIDUE_TOL * max(abs(re), 1e-300):
+        raise NumericConsistencyError(
+            f"windowed tuple sum has imaginary residue {im:.3e} against {re:.3e}"
+        )
+    return re
 
 
 def oracle_evaluate(f: TrigPoly, xs) -> np.ndarray:

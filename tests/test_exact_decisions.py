@@ -168,6 +168,29 @@ def test_band_operands_leave_int64():
     assert sorted(got.tolist()) == [False, True]
 
 
+def test_project_freq_decides_large_height_rows():
+    # convergents p/q of sqrt2: (p + 1, -q) has lam = 1 + (p - q sqrt2) > 1,
+    # but its float frequency is off by about q * 1e-16, beyond 1e-9 (1 + N)
+    spec = SPECS["sqrt2"]
+    for p, q in ((1023286908188737, 723573111879672), (175568277047523, 124145519261542)):
+        assert spec.freq1((p + 1, -q)) > 1
+        f = TrigPoly(spec, {(p + 1, -q): 1.0})
+        assert len(project_freq(f, 1)) == 0 and len(project_freq(f, 2)) == 1
+
+
+@pytest.mark.parametrize("name", [n for n in D1 if SPECS[n].rank == 2])
+@pytest.mark.parametrize("qmax", [10**8, 10**12, 10**15])
+def test_band_decision_at_large_heights(name, qmax):
+    spec = SPECS[name]
+    rows = [row_near(spec, N, qmax, s) for N in (1, 2, 4) for s in (-1, 1)]
+    f = TrigPoly(spec, {row: 1.0 for row in rows})
+    idx = f.as_arrays()[0]
+    for N in (1, 2, 4):
+        expect = oracle_band(spec, idx, None if N == 1 else Fraction(N, 2), N)
+        kept = project_freq(f, N).as_arrays()[0].tolist()
+        assert kept == [row for row, k in zip(idx.tolist(), expect) if k]
+
+
 def oracle_count(spec, C, lo, hi, include_lo, include_hi) -> int:
     exact = [x if isinstance(x, QScalar) else Fraction(x) for x in (lo, hi)]
     count = 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,23 @@ def test_count_refuses_endpoint_from_another_field(sqrt2_spec, int_spec):
     for lo, hi in ((QScalar.sqrt(3), 6), (-8, QScalar.sqrt(30))):
         oracle = sum(1 for n in shell if lo <= n < hi)
         assert count_in_interval(int_spec, 8, lo, hi) == oracle
+
+
+def test_count_infinite_and_nan_endpoints(sqrt2_spec):
+    # an infinite endpoint is never near a frequency: exact mode counts as the
+    # float twin does
+    twin = LatticeSpec([[1.0, SQRT2]])
+    inf = math.inf
+    for lo, hi in ((-inf, 0.0), (0.0, inf), (-inf, inf), (-inf, QScalar.sqrt(2)), (1, inf)):
+        for incl in (True, False):
+            expect = count_in_interval(twin, 8, float(lo), float(hi), incl, incl)
+            assert count_in_interval(sqrt2_spec, 8, lo, hi, incl, incl) == expect
+    assert count_in_interval(sqrt2_spec, 8, -inf, 0.0) == 74
+    assert count_in_interval(sqrt2_spec, 8, -inf, inf) == len(shell_indices(sqrt2_spec, 8))
+    for spec in (sqrt2_spec, twin):
+        for lo, hi in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                count_in_interval(spec, 8, lo, hi)
 
 
 def test_count_partition_additivity(sqrt2_spec):
