@@ -10,11 +10,13 @@ import numpy as np
 
 
 def pack_rows(idx: np.ndarray) -> np.ndarray:
-    """Pack integer rows (M, r) into single int64 keys.
+    """Pack integer rows (M, r) into single int64 keys that order as the rows
+    do lexicographically.
 
-    The packing width is chosen per call, so keys are only comparable within
-    one call.  Falls back to a lexicographic rank when the coordinates are
-    too large to pack.
+    Each column is offset by its own minimum and takes the bits of its own
+    range [min, max], so a wide column does not widen the others and keys are
+    only comparable within one call.  Falls back to a lexicographic rank when
+    the ranges together need more than 62 bits.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim == 1:
@@ -22,13 +24,15 @@ def pack_rows(idx: np.ndarray) -> np.ndarray:
     m, r = idx.shape
     if m == 0:
         return np.zeros(0, dtype=np.int64)
-    bits = max(int(np.abs(idx).max()).bit_length() + 2, 4)
-    if bits * r <= 62:
-        base = np.int64(1) << bits
-        off = np.int64(1) << (bits - 1)
-        out = np.zeros(m, dtype=np.int64)
-        for j in range(r):
-            out = out * base + (idx[:, j] + off)
+    # column by column: an axis=0 reduction over (M, r) rows is slower
+    cols = [idx[:, j] for j in range(r)]
+    lows = [int(c.min()) for c in cols]
+    bits = [(int(c.max()) - lo).bit_length() for c, lo in zip(cols, lows)]
+    if sum(bits) <= 62:
+        out = cols[0] - lows[0]
+        for c, lo, b in zip(cols[1:], lows[1:], bits[1:]):
+            out <<= b
+            out += c - lo
         return out
     # rank fallback: unique rows -> dense ids
     _, inv = np.unique(idx, axis=0, return_inverse=True)
@@ -36,10 +40,16 @@ def pack_rows(idx: np.ndarray) -> np.ndarray:
 
 
 def group_boundaries(sorted_keys: np.ndarray) -> np.ndarray:
-    """Start offsets of equal-key runs in an already sorted key array."""
+    """Start offsets of equal-key runs in an already sorted key array; the rows
+    of a 2-d array compare whole."""
     if len(sorted_keys) == 0:
         return np.zeros(0, dtype=np.intp)
-    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    cols = sorted_keys.T if sorted_keys.ndim > 1 else [sorted_keys]
+    change = np.zeros(len(sorted_keys), dtype=bool)
+    change[0] = True
+    for c in cols:  # column by column: faster than .any(axis=1) on narrow rows
+        change[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(change)
 
 
 def group_sum(idx: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

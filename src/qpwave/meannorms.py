@@ -5,17 +5,24 @@ sum over index combinations with matching sums; grouping the p/2-fold
 coefficient products by their index sum turns it into a sum of squared group
 totals, which is exact, manifestly nonnegative, and O(M^(p/2)).
 
+Both space-time norms start from one tuple fold.  A factor repeated from the
+one before it (``mixed_norm_free`` passes [f] * k) is enumerated as multisets
+of rows, each once with its multinomial weight, so [f, f] builds M(M+1)/2
+rows instead of M^2.  The rows are grouped once: sorted by index sum and, on
+an exact lattice, merged by phase key through one stable argsort of a single
+packed int64 key; neither norm sorts them again for that.
+
 The windowed space-time norm of a free evolution carries one time integral
 per pair of tuples with equal index sum, T phi1(iT(r_i - r_j)) with
 phi1(z) = (e^z - 1)/z.  Groups of equal size are paired in (k, s, s) blocks,
 and the phases are factored: with e_i = e^{iT r_i} (taken relative to the
 group's first rate) the kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)), so
-only pairs with |T(r_i - r_j)| < 1, where that numerator cancels, evaluate
-phi1.  The globally averaged norm keeps only tuples whose dispersive phases
-cancel exactly.  On an exact lattice (any d) that is decided on int64 phase
-keys, the rates scaled by the generators' common denominator; in float mode
-rate sums coincide within RESONANCE_FLOAT_TOL of the summed sizes of their
-terms.
+only off-diagonal pairs with |T(r_i - r_j)| < 1, where that numerator
+cancels, evaluate phi1; the diagonal is exactly T.  The globally averaged
+norm keeps only tuples whose dispersive phases cancel exactly.  On an exact
+lattice (any d) that is decided on int64 phase keys, the rates scaled by the
+generators' common denominator, and is the fold's merge; in float mode rate
+sums coincide within RESONANCE_FLOAT_TOL of the summed sizes of their terms.
 """
 
 from __future__ import annotations
@@ -159,9 +166,9 @@ def lp_norm_numeric(
     step = 2 * math.pi / (min_points_per_period * max_lam)
     n = int(2 * L / step) + 2
     _budget.check(n, budget, what="quadrature grid")
-    xs = np.linspace(-L, L, n)
-    vals = np.abs(f.evaluate(xs)) ** p
-    mean = float(np.trapezoid(vals, xs) / (2 * L))
+    v = f.evaluate(np.linspace(-L, L, n))
+    vals = (v.real**2 + v.imag**2) ** (p / 2)
+    mean = float(np.trapezoid(vals, dx=2 * L / (n - 1)) / (2 * L))
     return mean ** (1.0 / p)
 
 
@@ -188,57 +195,98 @@ def _outer(a, b, op=np.add):
     return op(a[:, None], b[None, :]).reshape((-1,) + a.shape[1:])
 
 
-def _phase_groups(idx, key, rate=None):
-    """Sort order and run starts of tuples with equal index sum and phase:
-    equal int64 keys or, given float ``rate``, sorted rates chained while
-    closer than RESONANCE_FLOAT_TOL times the larger summed scale in ``key``."""
-    packed = pack_rows(idx)
-    if rate is None:
-        order = np.lexsort((key[:, 1], key[:, 0], packed))
-        key = key[order]
-        split = (key[1:] != key[:-1]).any(axis=1)
-    else:
-        order = np.lexsort((rate, packed))
-        rate, key = rate[order], key[order]
-        split = np.diff(rate) > RESONANCE_FLOAT_TOL * np.maximum(key[1:], key[:-1])
-    packed = packed[order]
-    return order, np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]) | split])
+def _factor_datas(polys, symbol):
+    """``evolved_factor_data`` per factor; a factor that is the same poly as the
+    one before it shares that tuple, which marks it repeated for the fold."""
+    datas = []
+    for i, f in enumerate(polys):
+        datas.append(datas[-1] if i and f is polys[i - 1] else evolved_factor_data(f, symbol))
+    return datas
 
 
-def _fold_tuple_data(datas, budget):
-    """Combine per-factor mode data into tuple data: index sums, products,
-    rate sums, and summed exact keys (merged when equal along with the index
-    sum; ValueError if a sum could leave int64), None in float mode."""
+def _fold_tuple_data(datas, budget, scales=None):
+    """Combine per-factor mode data into tuple data sorted by index sum: index
+    sums, coefficient products, rate sums, and summed exact phase keys (on an
+    exact lattice; ValueError if a sum could leave int64) or else the summed
+    per-factor float term ``scales`` (None without them).
+
+    A factor whose data is the same object as its predecessor's (a repeated
+    poly) takes only row numbers >= the predecessor's row, so every multiset
+    of rows is enumerated once and its product carries the multinomial weight
+    of its orderings (1 or 2 at k = 2; 1, 3 or 6 at k = 3).  The tuples are one
+    ragged outer product of per-factor row-number columns (np.repeat plus
+    offsets); every output column is a gather, and rates of a repeated factor
+    are summed in sorted-row order, so orderings agree bitwise.  On exact
+    lattices one stable argsort of one packed int64 key of (index sum, phase
+    key) groups the rows, and equal rows merge: the first keeps its rate, the
+    values add.  Float rows are sorted by index sum only.  The work estimate
+    stays the ordered count, the product of the factor sizes.
+    """
     exact = datas[0][3] is not None
     if exact:
         bound = sum(int(np.abs(d[3]).max(initial=0)) for d in datas)
         if bound > np.iinfo(np.int64).max:
             raise ValueError("tuple phase key sums exceed the int64 range")
-    acc_idx, acc_val, acc_rate, acc_key = datas[0]
-    work = len(acc_val)
-    for idx, vals, rates, key in datas[1:]:
-        work *= len(vals)
+    rows = [np.arange(len(datas[0][1]))]
+    weight = streak = np.ones(len(rows[0]))
+    run, work = 1, len(rows[0])
+    for prev, data in zip(datas, datas[1:]):
+        size = len(data[1])
+        work *= size
         _budget.check(work, budget, what="tuple enumeration")
-        _budget.check_memory(len(acc_val) * len(vals), what="tuple table")
-        acc_idx, acc_rate = _outer(acc_idx, idx), _outer(acc_rate, rates)
-        acc_val = _outer(acc_val, vals, np.multiply)
-        if exact:  # merge exact duplicates to keep structured inputs compact
-            acc_key = _outer(acc_key, key)
-            order, cuts = _phase_groups(acc_idx, acc_key)
-            first = order[cuts]
-            acc_idx, acc_rate, acc_key = acc_idx[first], acc_rate[first], acc_key[first]
-            acc_val = np.add.reduceat(acc_val[order], cuts)
-    return acc_idx, acc_val, acc_rate, acc_key
+        last = rows[-1]
+        repeated = data is prev
+        counts = size - last if repeated else np.full(len(last), size)
+        n = int(counts.sum())
+        _budget.check_memory(n, what="tuple table")
+        parent = np.repeat(np.arange(len(last)), counts)
+        row = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        if repeated:  # weight of a multiset: (run length)! / prod(multiplicity!)
+            base = last[parent]
+            row += base
+            run += 1
+            streak = np.where(row == base, streak[parent] + 1, 1)
+            weight = weight[parent] * run / streak  # exact: small integers
+        else:
+            run, streak = 1, np.ones(n)
+            weight = weight[parent]
+        rows = [r[parent] for r in rows] + [row]
+
+    def gather(per_factor, op=np.add):
+        return reduce(op, (x[r] for x, r in zip(per_factor, rows)))
+
+    val, rate = gather([d[1] for d in datas], np.multiply), gather([d[2] for d in datas])
+    if (weight > 1).any():
+        val *= weight
+    # integer columns one at a time: row gathers of 2-d arrays are slower
+    ints = [np.hstack([d[0], d[3]]) if exact else d[0] for d in datas]
+    table = np.empty((len(val), ints[0].shape[1]), dtype=np.int64)
+    for j in range(table.shape[1]):
+        table[:, j] = gather([x[:, j] for x in ints])
+    packed = pack_rows(table)
+    order = np.argsort(packed, kind="stable")
+    if not exact:
+        scale = None if scales is None else gather(scales)[order]
+        return np.take(table, order, axis=0), val[order], rate[order], scale
+    cuts = group_boundaries(packed[order])
+    first = order[cuts]
+    table, rank = np.take(table, first, axis=0), datas[0][0].shape[1]
+    return table[:, :rank], np.add.reduceat(val[order], cuts), rate[first], table[:, rank:]
 
 
 def _pair_block_sum(v, r, e, T):
     """Sum of v_i conj(v_j) T phi1(iT(r_i - r_j)) over the full s x s square of
     each of k groups, given (k, s) values, rates and phases e_i = e^{iT(r_i - c)}
-    (any c per group).  The kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)); only
-    pairs with |T(r_i - r_j)| < 1, where that numerator cancels, call phi1."""
+    (any c per group).  The kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)); the
+    diagonal (theta = 0, all of an s = 1 block) is exactly T = T phi1(0), and
+    only off-diagonal pairs with |T(r_i - r_j)| < 1, where that numerator
+    cancels, call phi1."""
     dr = r[:, :, None] - r[:, None, :]
     small = np.abs(T * dr) < 1.0
     kern = (e[:, :, None] * e[:, None, :].conj() - 1.0) / (1j * np.where(small, 1.0, dr))
+    d = np.arange(r.shape[1])
+    small[:, d, d] = False
+    kern[:, d, d] = T
     kern[small] = T * phi1(1j * T * dr[small])
     return (v[:, :, None] * v[:, None, :].conj() * kern).sum()
 
@@ -247,24 +295,24 @@ def windowed_product_norm_sq(polys, symbol, T, budget=None) -> float:
     """Integral over [0, T] of the squared mean L^2 norm of the product of the
     free evolutions of ``polys``; exact up to roundoff.
 
-    Tuples are grouped by index sum; each group of s tuples contributes its
-    s x s pair sum of v_i conj(v_j) T phi1(iT(r_i - r_j)).  Groups of equal
-    size are batched into (k, s, s) pair blocks of about PAIR_BLOCK pairs.
-    Phases are factored: e_i = e^{iT(r_i - r_g)}, with r_g the rate of the
-    group's first tuple, is computed once per tuple, so a pair's kernel is
-    (e_i conj(e_j) - 1) / (i(r_i - r_j)) without a transcendental; pairs with
-    |T(r_i - r_j)| < 1, where the numerator loses relative accuracy, keep phi1.
+    The tuple fold enumerates each multiset of a repeated factor once (with
+    its multinomial weight) and returns its rows sorted by index sum, merged
+    by exact phase on exact lattices; the groups are cut from those rows
+    without another sort.  Each group of s tuples contributes its s x s pair
+    sum of v_i conj(v_j) T phi1(iT(r_i - r_j)).  Groups of equal size are
+    batched into (k, s, s) pair blocks of about PAIR_BLOCK pairs.  Phases are
+    factored: e_i = e^{iT(r_i - r_g)}, with r_g the rate of the group's first
+    tuple, is computed once per tuple, so a pair's kernel is
+    (e_i conj(e_j) - 1) / (i(r_i - r_j)) without a transcendental; the
+    diagonal is exactly T, and off-diagonal pairs with |T(r_i - r_j)| < 1,
+    where the numerator loses relative accuracy, keep phi1.
     """
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
-    datas = [evolved_factor_data(f, symbol) for f in polys]
-    idx, val, rate, _ = _fold_tuple_data(datas, budget)
-    packed = pack_rows(idx)
-    order = np.argsort(packed, kind="stable")
-    packed, val, rate = packed[order], val[order], rate[order]
-    cuts = group_boundaries(packed)
-    sizes = np.diff(np.r_[cuts, len(packed)])
+    idx, val, rate, _ = _fold_tuple_data(_factor_datas(polys, symbol), budget)
+    cuts = group_boundaries(idx)
+    sizes = np.diff(np.r_[cuts, len(idx)])
     _budget.check(int((sizes.astype(np.int64) ** 2).sum()), budget, what="windowed tuple pairing")
     T = float(T)
     phase = np.exp(1j * T * (rate - np.repeat(rate[cuts], sizes)))
@@ -287,27 +335,33 @@ def global_product_norm_sq(polys, symbol, budget=None) -> float:
     """Global time-mean of the squared mean L^2 norm of the evolved product:
     only exactly phase-matched tuples survive the averaging.
 
-    Exact lattices decide resonance on int64 phase keys.  Float mode groups
-    rate sums that agree within RESONANCE_FLOAT_TOL of their summed term
-    sizes; that is validated on boosted small-box data up to heights of about
-    1e5.  Near 1e6 distinct rate sums can lie closer than the tolerance and
-    are then merged without any error, so the result can be wrong there.
+    Exact lattices decide resonance on int64 phase keys: the tuple fold has
+    already merged the tuples of equal index sum and phase, so the result is
+    the sum of its squared values.  Float mode sorts the fold's rows (each
+    multiset of a repeated factor once) by rate within each index sum and
+    groups rate sums that agree within RESONANCE_FLOAT_TOL of their summed
+    term sizes; that is validated on boosted small-box data up to heights of
+    about 1e5.  Near 1e6 distinct rate sums can lie closer than the tolerance
+    and are then merged without any error, so the result can be wrong there.
     """
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
-    datas = [evolved_factor_data(f, symbol) for f in polys]
-    idx, val, rate, key = _fold_tuple_data(datas, budget)
-    if key is None:
-        # float mode: a rate is exact to a few roundoff units of the law with
-        # absolute coefficients at sum_i |n_i| omega_i (generators are > 0); the
-        # fold merged nothing, so these scales sum over the same outer products
-        law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
-        scales = [np.abs(law.rates_for_indices(f.spec, np.abs(f.as_arrays()[0]))) for f in polys]
-        order, cuts = _phase_groups(idx, reduce(_outer, scales), rate)
-    else:
-        order, cuts = _phase_groups(idx, key)
-    sums = np.add.reduceat(val[order], cuts)
+    datas = _factor_datas(polys, symbol)
+    if datas[0][3] is not None:
+        _, val, _, _ = _fold_tuple_data(datas, budget)
+        return float((val.real**2 + val.imag**2).sum())
+    # float mode: a rate is exact to a few roundoff units of the law with
+    # absolute coefficients at sum_i |n_i| omega_i (generators are > 0)
+    law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
+    scales = [np.abs(law.rates_for_indices(f.spec, np.abs(d[0]))) for f, d in zip(polys, datas)]
+    idx, val, rate, scale = _fold_tuple_data(datas, budget, scales)
+    new_idx = np.zeros(len(idx), dtype=bool)
+    new_idx[group_boundaries(idx)] = True
+    order = np.lexsort((rate, np.cumsum(new_idx)))
+    rate, scale = rate[order], scale[order]
+    split = np.diff(rate) > RESONANCE_FLOAT_TOL * np.maximum(scale[1:], scale[:-1])
+    sums = np.add.reduceat(val[order], np.flatnonzero(new_idx | np.r_[True, split]))
     return float((sums.real**2 + sums.imag**2).sum())
 
 

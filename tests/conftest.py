@@ -7,8 +7,8 @@ import pytest
 
 from qpwave import LatticeSpec, QScalar, TrigPoly, integer_lattice, sqrt2_lattice
 from qpwave.errors import NumericConsistencyError
-from qpwave.kernels import group_boundaries, pack_rows, phi1
-from qpwave.meannorms import IMAG_RESIDUE_TOL, _fold_tuple_data, evolved_factor_data
+from qpwave.kernels import phi1
+from qpwave.meannorms import IMAG_RESIDUE_TOL, evolved_factor_data
 from qpwave.trigpoly import PRUNE_REL
 
 try:
@@ -103,45 +103,85 @@ def oracle_mean_p6(f: TrigPoly) -> float:
     return total.real
 
 
-def oracle_global_mean(f: TrigPoly, k: int) -> float:
-    """Global space-time mean of |f_t^k|^2 under the Schroedinger flow: k-tuples
-    grouped by index sum and by their exact QScalar rate sum."""
-    items = list(f.items())
-    rate = {n: -sum((lam * lam for lam in f.spec.freq(n)), QScalar(0)) for n, _ in items}
+def exact_rate(spec, n):
+    """Schroedinger rate -|lambda_n|^2 of index n as an exact hashable value: a
+    QScalar on an exact lattice; on a float d = 1 lattice whose generators
+    have integer squares and rationally independent pairwise products (such
+    as 1, sqrt2, sqrt3), its integer coordinates on 1 and those products."""
+    if spec.exact:
+        return -sum((lam * lam for lam in spec.freq(n)), QScalar(0))
+    (omega,) = spec.omega
+    squares = [round(w * w) for w in omega]
+    assert all(abs(w * w - q) <= 1e-12 * q for w, q in zip(omega, squares))
+    diag = sum(q * x * x for q, x in zip(squares, n))
+    cross = [2 * n[g] * n[h] for g, h in itertools.combinations(range(len(n)), 2)]
+    return tuple(-c for c in [diag, *cross])
+
+
+def oracle_global_groups(polys) -> list:
+    """Global space-time mean of the Schroedinger-evolved product of ``polys``:
+    ordered tuples (itertools.product) grouped by index sum and exact rate sum.
+    Returns (group total, sum of |term|) per group."""
+    items = [list(f.items()) for f in polys]
+    rate = [{n: exact_rate(f.spec, n) for n, _ in its} for f, its in zip(polys, items)]
     groups = {}
-    for tup in itertools.product(items, repeat=k):
+    for tup in itertools.product(*items):
         index_sum = tuple(map(sum, zip(*(n for n, _ in tup))))
-        rate_sum = sum((rate[n] for n, _ in tup), QScalar(0))
-        key = (index_sum, rate_sum)
-        groups[key] = groups.get(key, 0.0) + math.prod(c for _, c in tup)
-    return sum(abs(v) ** 2 for v in groups.values())
+        rates = [r[n] for r, (n, _) in zip(rate, tup)]
+        if isinstance(rates[0], tuple):  # integer coordinates add componentwise
+            rate_sum = tuple(map(sum, zip(*rates)))
+        else:
+            rate_sum = sum(rates[1:], rates[0])
+        term = math.prod(c for _, c in tup)
+        total, mag = groups.get((index_sum, rate_sum), (0.0, 0.0))
+        groups[index_sum, rate_sum] = (total + term, mag + abs(term))
+    return list(groups.values())
+
+
+def oracle_global_mean(f: TrigPoly, k: int) -> float:
+    """Global space-time mean of |f_t^k|^2 under the Schroedinger flow."""
+    return sum(abs(v) ** 2 for v, _ in oracle_global_groups([f] * k))
+
+
+def oracle_tuple_groups(polys, symbol) -> list:
+    """Ordered k-tuples of the factors' modes (itertools.product) grouped by
+    index sum: a list of (rates, values) arrays per group.  On an exact lattice
+    tuples of equal exact phase (summed per-mode phase keys) merge, the first
+    keeping its rate.  Rates of a repeated factor (the same poly as the one
+    before it) are summed in sorted-row order, so the orderings of one
+    multiset carry bitwise-equal rates."""
+    datas = [evolved_factor_data(f, symbol) for f in polys]
+    starts = [j for j in range(len(polys)) if j == 0 or polys[j] is not polys[j - 1]]
+    runs = list(zip(starts, starts[1:] + [len(polys)]))
+    exact = datas[0][3] is not None
+    groups = {}
+    for rows in itertools.product(*(range(len(d[1])) for d in datas)):
+        srt = [r for lo, hi in runs for r in sorted(rows[lo:hi])]
+        index_sum = tuple(int(x) for x in sum(d[0][r] for d, r in zip(datas, rows)))
+        rates = [float(d[2][r]) for d, r in zip(datas, srt)]
+        rate = sum(rates[1:], rates[0])
+        value = math.prod(complex(d[1][r]) for d, r in zip(datas, rows))
+        phase = tuple(int(x) for x in sum(d[3][r] for d, r in zip(datas, rows))) if exact else rows
+        group = groups.setdefault(index_sum, {})
+        if phase in group:
+            group[phase][1] += value
+        else:
+            group[phase] = [rate, value]
+    return [
+        (np.array([r for r, _ in g.values()]), np.array([v for _, v in g.values()]))
+        for g in groups.values()
+    ]
 
 
 def oracle_windowed(polys, symbol, T) -> float:
-    """Windowed tuple pairing by one phi1 call per index-sum group on the
-    shared tuple fold: the per-group loop that preceded the size-bucketed,
-    factored-phase engine of ``windowed_product_norm_sq``."""
+    """Windowed tuple pairing by one phi1 call per index-sum group of
+    ``oracle_tuple_groups``: no tuple fold, multisets or pair blocks."""
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
-    datas = [evolved_factor_data(f, symbol) for f in polys]
-    idx, val, rate, _ = _fold_tuple_data(datas, None)
-    packed = pack_rows(idx)
-    order = np.argsort(packed, kind="stable")
-    packed, val, rate = packed[order], val[order], rate[order]
-    cuts = group_boundaries(packed)
-    bounds = np.r_[cuts, len(packed)]
-    sizes = np.diff(bounds)
     T = float(T)
     total = 0.0 + 0.0j
-    singles = sizes == 1
-    if singles.any():
-        v = val[bounds[:-1][singles]]
-        total += ((v.real**2 + v.imag**2) * T).sum()
-    for i in np.flatnonzero(~singles):
-        lo, hi = bounds[i], bounds[i + 1]
-        v = val[lo:hi]
-        r = rate[lo:hi]
+    for r, v in oracle_tuple_groups(polys, symbol):
         integ = T * phi1(1j * T * (r[:, None] - r[None, :]))
         total += (v[:, None] * v[None, :].conj() * integ).sum()
     re, im = float(total.real), float(total.imag)

@@ -1,13 +1,16 @@
-"""Property tests of the windowed pairing engine.
+"""Property tests of the multiset tuple fold and the windowed pairing engine.
 
-``windowed_product_norm_sq`` batches the index-sum groups of the tuple fold
-by size and factors the pair phases; ``oracle_windowed`` (conftest) is the
-per-group phi1 loop it replaced, on the same fold.  The cases cover group
-sizes from 1 up, the products [f]*2, [f]*3 and [f1, f2], and windows T that
-put one pair's phase theta = T(r_i - r_j) just below or above 1, where the
-engine switches between phi1 and the factored kernel, or near 1e-4, where
-phi1 switches to its Taylor polynomial.  The tolerance is 1e-13 of
-T * sum over groups of (sum |v|)^2, which bounds every pair sum.
+``windowed_product_norm_sq`` pairs the index-sum groups of the tuple fold,
+which enumerates each multiset of a repeated factor once, batched by size and
+with factored pair phases; ``oracle_windowed`` (conftest) is a per-group phi1
+loop over an ordered ``itertools.product`` enumeration, independent of the
+fold.  The cases cover group sizes from 1 up, the products [f]*2, [f]*3,
+[f, f, g] and [f1, f2], and windows T that put one pair's phase
+theta = T(r_i - r_j) just below or above 1, where the engine switches between
+phi1 and the factored kernel, or near 1e-4, where phi1 switches to its Taylor
+polynomial.  The tolerance is 1e-13 of T * sum over groups of (sum |v|)^2,
+which bounds every pair sum.  The global mean is checked against the exact
+product oracle to 1e-12 of the sum over groups of (sum |term|)^2.
 """
 
 import math
@@ -18,10 +21,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from qpwave import DispersionSymbol, LatticeSpec, QScalar, TrigPoly, meannorms
-from qpwave.kernels import group_boundaries, pack_rows
-from qpwave.meannorms import _fold_tuple_data, evolved_factor_data, windowed_product_norm_sq
-from conftest import oracle_windowed
+from qpwave import BudgetError, DispersionSymbol, LatticeSpec, QScalar, TrigPoly, meannorms
+from qpwave.meannorms import global_product_norm_sq, windowed_product_norm_sq
+from conftest import oracle_global_groups, oracle_tuple_groups, oracle_windowed
 
 SCHROD = DispersionSymbol.schrodinger()
 R = QScalar.rational
@@ -30,6 +32,7 @@ FAMILIES = {
     "sqrt3": [[R(1), QScalar.sqrt(3)]],
     "sqrt5": [[R(1), QScalar.sqrt(5)]],
     "integer": [[R(1)]],
+    "float_rank2": [[1.0, math.sqrt(2.0)]],
     "float_rank3": [[1.0, math.sqrt(2.0), math.sqrt(3.0)]],
     "d2_sqrt2": [[R(1), QScalar.sqrt(2)], [QScalar.sqrt(2)]],
 }
@@ -41,26 +44,18 @@ TOL = 1e-13
 
 
 def tuple_groups(polys):
-    """Rates, |values| and group starts of the tuple fold, grouped by index
-    sum as the engine groups them."""
-    datas = [evolved_factor_data(f, SCHROD) for f in polys]
-    idx, val, rate, _ = _fold_tuple_data(datas, None)
-    packed = pack_rows(idx)
-    order = np.argsort(packed, kind="stable")
-    return rate[order], np.abs(val[order]), group_boundaries(packed[order])
+    """(rates, values) per index-sum group of the ordered oracle enumeration."""
+    return oracle_tuple_groups(polys, SCHROD)
 
 
 def pair_gaps(polys):
     """Distinct positive |r_i - r_j| over pairs within one group."""
-    rate, _, cuts = tuple_groups(polys)
-    gaps = [np.abs(r[:, None] - r[None, :]).ravel() for r in np.split(rate, cuts[1:])]
-    gaps = np.concatenate(gaps)
+    gaps = np.concatenate([np.abs(r[:, None] - r[None, :]).ravel() for r, _ in tuple_groups(polys)])
     return np.unique(gaps[gaps > 0])
 
 
 def pair_scale(polys, T):
-    _, mag, cuts = tuple_groups(polys)
-    return T * float((np.add.reduceat(mag, cuts) ** 2).sum())
+    return T * sum(float(np.abs(v).sum()) ** 2 for _, v in tuple_groups(polys))
 
 
 def assert_matches_oracle(polys, T):
@@ -70,7 +65,7 @@ def assert_matches_oracle(polys, T):
 
 
 @st.composite
-def windowed_case(draw):
+def product_case(draw, shapes=("f*2", "f*3", "f,f,g", "f1,f2")):
     spec = SPECS[draw(st.sampled_from(sorted(SPECS)))]
     index = st.tuples(*[st.integers(-3, 3)] * spec.rank)
     coeff = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
@@ -80,8 +75,18 @@ def windowed_case(draw):
         return TrigPoly(spec, {n: draw(coeff) for n in support})
 
     f = poly()
-    shape = draw(st.sampled_from(["f*2", "f*3", "f1,f2"]))
-    polys = [f] * 2 if shape == "f*2" else [f] * 3 if shape == "f*3" else [f, poly()]
+    shape = draw(st.sampled_from(shapes))
+    return {
+        "f*2": lambda: [f] * 2,
+        "f*3": lambda: [f] * 3,
+        "f,f,g": lambda: [f, f, poly()],
+        "f1,f2": lambda: [f, poly()],
+    }[shape]()
+
+
+@st.composite
+def windowed_case(draw):
+    polys = draw(product_case())
     gaps = pair_gaps(polys)
     theta = draw(st.sampled_from([None] + THETAS))
     if theta is None or not len(gaps):
@@ -113,8 +118,7 @@ def test_windowed_every_group_size(monkeypatch, block, T):
     # per chunk once s^2 exceeds it
     monkeypatch.setattr(meannorms, "PAIR_BLOCK", block)
     f = box_poly(SPECS["sqrt2"], 4, seed=1)
-    _, _, cuts = tuple_groups([f, f])
-    sizes = set(np.diff(np.r_[cuts, len(f) ** 2]).tolist())
+    sizes = {len(r) for r, _ in tuple_groups([f, f])}
     assert 1 in sizes and len(sizes) >= 20
     assert_matches_oracle([f, f], T)
     g = box_poly(SPECS["sqrt2"], 2, seed=4)
@@ -135,9 +139,9 @@ def test_windowed_boosted_to_large_rates():
 def test_windowed_calls_phi1_only_below_unit_phase(monkeypatch):
     f = box_poly(SPECS["sqrt3"], 3, seed=2)
     T = 0.3
-    rate, _, cuts = tuple_groups([f, f])
-    thetas = [T * (r[:, None] - r[None, :]) for r in np.split(rate, cuts[1:])]
-    small = sum(int((np.abs(t) < 1).sum()) for t in thetas)
+    thetas = [T * (r[:, None] - r[None, :]) for r, _ in tuple_groups([f, f])]
+    # the diagonal (theta = 0) is exactly T without phi1
+    small = sum(int((np.abs(t) < 1).sum()) - len(t) for t in thetas)
     pairs = sum(t.size for t in thetas)
     seen = []
     orig = meannorms.phi1
@@ -149,3 +153,42 @@ def test_windowed_calls_phi1_only_below_unit_phase(monkeypatch):
 def test_windowed_empty_factor():
     f = box_poly(SPECS["integer"], 2, seed=3)
     assert windowed_product_norm_sq([f, TrigPoly(f.spec, {})], SCHROD, 1.0) == 0.0
+
+
+def unit_datas(polys):
+    """Per-factor fold data with every coefficient 1; a repeated factor shares
+    its predecessor's tuple, as in the engine."""
+    datas = meannorms._factor_datas(polys, SCHROD)
+    unit = {id(d): (d[0], np.ones(len(d[1]), dtype=complex), d[2], d[3]) for d in datas}
+    return [unit[id(d)] for d in datas]
+
+
+@given(product_case(shapes=("f*2", "f*3", "f,f,g")))
+def test_multiset_weights_sum_to_ordered_count(polys):
+    idx, val, _, key = meannorms._fold_tuple_data(unit_datas(polys), None)
+    assert val.sum() == math.prod(len(f) for f in polys)
+    if key is None:  # float mode merges nothing: one row per multiset
+        k = sum(f is polys[0] for f in polys)  # [f] * k, then at most one other
+        other = len(polys[-1]) if k < len(polys) else 1
+        assert len(idx) == math.comb(len(polys[0]) + k - 1, k) * other
+
+
+@given(product_case(shapes=("f*2", "f*3", "f,f,g")))
+def test_global_mean_matches_product_oracle(polys):
+    groups = oracle_global_groups(polys)
+    expect = sum(abs(v) ** 2 for v, _ in groups)
+    got = global_product_norm_sq(polys, SCHROD)
+    assert abs(got - expect) <= 1e-12 * sum(m * m for _, m in groups)
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "float_rank2"])
+def test_tuple_enumeration_budget_counts_ordered_tuples(name):
+    # the multiset table is smaller than the budget, the ordered count is not
+    f = box_poly(SPECS[name], 2, seed=6)
+    m = len(f)
+    for k in (2, 3):
+        assert math.comb(m + k - 1, k) < m**k - 1
+        with pytest.raises(BudgetError, match="tuple enumeration"):
+            global_product_norm_sq([f] * k, SCHROD, budget=m**k - 1)
+        with pytest.raises(BudgetError, match="tuple enumeration"):
+            windowed_product_norm_sq([f] * k, SCHROD, 1.0, budget=m**k - 1)
