@@ -1,7 +1,10 @@
-"""Shared array kernels: index packing, grouped reduction, exact surd signs, phi1.
+"""Shared array kernels: index packing, grouped reduction, exact surd signs, and
+phi1(theta) = (e^{i theta} - 1)/(i theta) of a real phase theta: the mean of
+e^{i r s} over s in [0, T] at theta = r T, evaluated in real arithmetic.
 
-All reductions here are deterministic: rows are ordered by a stable lexsort
-before ``reduceat``, so results do not depend on input order.
+All reductions here are deterministic: rows are ordered by a stable argsort
+of packed int64 keys (lexicographic row order) before ``reduceat``, so results
+do not depend on input order.
 """
 
 from __future__ import annotations
@@ -84,15 +87,21 @@ def surd_sign(a, b, D: int) -> np.ndarray:
     return out
 
 
-def phi1(z: np.ndarray | complex) -> np.ndarray | complex:
-    """(e^z - 1)/z, continuous through z = 0.
+def phi1(theta: np.ndarray | float) -> np.ndarray | complex:
+    """(e^{i theta} - 1)/(i theta) for real theta, continuous through theta = 0
+    (value 1); a Python complex for a scalar argument.
 
-    Near zero the direct quotient cancels catastrophically; a 4-term Taylor
-    polynomial takes over below |z| = 1e-4 (error there ~ |z|^4/120 < 1e-18).
+    Evaluated as e^{i h} sin(h)/h with h = theta/2, in real arithmetic: no
+    difference of nearly equal terms anywhere, so no small-argument branch.
+    A complex argument raises TypeError (the phase is real).
     """
-    scalar = np.isscalar(z)
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    out = np.where(small, 1 + z / 2 + z * z / 6 + z * z * z / 24, np.expm1(zs) / zs)
+    if np.iscomplexobj(theta):
+        raise TypeError("phi1 takes the real phase theta, not a complex argument")
+    scalar = np.isscalar(theta)
+    h = np.asarray(theta, dtype=float) / 2
+    sin = np.sin(h)
+    sinc = np.divide(sin, h, out=np.ones_like(h), where=h != 0)
+    out = np.empty(h.shape, dtype=complex)
+    out.real = np.cos(h) * sinc
+    out.imag = sin * sinc
     return complex(out[()]) if scalar else out

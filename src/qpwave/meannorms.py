@@ -5,16 +5,20 @@ sum over index combinations with matching sums; grouping the p/2-fold
 coefficient products by their index sum turns it into a sum of squared group
 totals, which is exact, manifestly nonnegative, and O(M^(p/2)).
 
-Both space-time norms start from one tuple fold.  A factor repeated from the
-one before it (``mixed_norm_free`` passes [f] * k) is enumerated as multisets
-of rows, each once with its multinomial weight, so [f, f] builds M(M+1)/2
-rows instead of M^2.  The rows are grouped once: sorted by index sum and, on
-an exact lattice, merged by phase key through one stable argsort of a single
-packed int64 key; neither norm sorts them again for that.
+Both space-time norms start from one tuple fold, and so does the first
+Picard iterate (``nls.first_picard_iterate`` folds its ``power`` plain
+factors side by side).  A factor repeated from the one before it
+(``mixed_norm_free`` passes [f] * k) is enumerated as multisets of rows, each
+once with its multinomial weight, so [f, f] builds M(M+1)/2 rows instead of
+M^2.  The rows are grouped once: sorted by index sum and, on an exact
+lattice, merged by phase key through one stable argsort of a single packed
+int64 key; neither norm sorts them again for that.
 
 The windowed space-time norm of a free evolution carries one time integral
-per pair of tuples with equal index sum, T phi1(iT(r_i - r_j)) with
-phi1(z) = (e^z - 1)/z.  Groups of equal size are paired in (k, s, s) blocks,
+per pair of tuples with equal index sum, T phi1(T(r_i - r_j)) with the real
+phase theta = T(r_i - r_j) and phi1(theta) = (e^{i theta} - 1)/(i theta),
+evaluated as e^{i theta/2} sin(theta/2)/(theta/2) in real arithmetic
+(``kernels.phi1``).  Groups of equal size are paired in (k, s, s) blocks,
 and the phases are factored: with e_i = e^{iT r_i} (taken relative to the
 group's first rate) the kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)), so
 only off-diagonal pairs with |T(r_i - r_j)| < 1, where that numerator
@@ -275,19 +279,19 @@ def _fold_tuple_data(datas, budget, scales=None):
 
 
 def _pair_block_sum(v, r, e, T):
-    """Sum of v_i conj(v_j) T phi1(iT(r_i - r_j)) over the full s x s square of
+    """Sum of v_i conj(v_j) T phi1(T(r_i - r_j)) over the full s x s square of
     each of k groups, given (k, s) values, rates and phases e_i = e^{iT(r_i - c)}
     (any c per group).  The kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)); the
     diagonal (theta = 0, all of an s = 1 block) is exactly T = T phi1(0), and
     only off-diagonal pairs with |T(r_i - r_j)| < 1, where that numerator
-    cancels, call phi1."""
+    cancels, call phi1 on their real phases T(r_i - r_j)."""
     dr = r[:, :, None] - r[:, None, :]
     small = np.abs(T * dr) < 1.0
     kern = (e[:, :, None] * e[:, None, :].conj() - 1.0) / (1j * np.where(small, 1.0, dr))
     d = np.arange(r.shape[1])
     small[:, d, d] = False
     kern[:, d, d] = T
-    kern[small] = T * phi1(1j * T * dr[small])
+    kern[small] = T * phi1(T * dr[small])
     return (v[:, :, None] * v[:, None, :].conj() * kern).sum()
 
 
@@ -299,7 +303,8 @@ def windowed_product_norm_sq(polys, symbol, T, budget=None) -> float:
     its multinomial weight) and returns its rows sorted by index sum, merged
     by exact phase on exact lattices; the groups are cut from those rows
     without another sort.  Each group of s tuples contributes its s x s pair
-    sum of v_i conj(v_j) T phi1(iT(r_i - r_j)).  Groups of equal size are
+    sum of v_i conj(v_j) T phi1(T(r_i - r_j)), with phi1 of the real phase
+    (``kernels.phi1``, no cancellation).  Groups of equal size are
     batched into (k, s, s) pair blocks of about PAIR_BLOCK pairs.  Phases are
     factored: e_i = e^{iT(r_i - r_g)}, with r_g the rate of the group's first
     tuple, is computed once per tuple, so a pair's kernel is
@@ -331,6 +336,18 @@ def windowed_product_norm_sq(polys, symbol, T, budget=None) -> float:
     return re
 
 
+def _group_rate_order(group, rate):
+    """The stable order of rows by (group, rate), as np.lexsort((rate, group)),
+    by one stable argsort of one int64 key group * n + dense rate rank (equal
+    rates share a rank).  The key is below n^2, and n <= 1e8 (the tuple
+    table's memory cap), so it fits in int64."""
+    n = len(rate)
+    by_rate = np.argsort(rate)
+    dense = np.empty(n, dtype=np.int64)
+    dense[by_rate] = np.cumsum(np.r_[False, np.diff(rate[by_rate]) != 0])
+    return np.argsort(group * n + dense, kind="stable")
+
+
 def global_product_norm_sq(polys, symbol, budget=None) -> float:
     """Global time-mean of the squared mean L^2 norm of the evolved product:
     only exactly phase-matched tuples survive the averaging.
@@ -358,7 +375,7 @@ def global_product_norm_sq(polys, symbol, budget=None) -> float:
     idx, val, rate, scale = _fold_tuple_data(datas, budget, scales)
     new_idx = np.zeros(len(idx), dtype=bool)
     new_idx[group_boundaries(idx)] = True
-    order = np.lexsort((rate, np.cumsum(new_idx)))
+    order = _group_rate_order(np.cumsum(new_idx) - 1, rate)
     rate, scale = rate[order], scale[order]
     split = np.diff(rate) > RESONANCE_FLOAT_TOL * np.maximum(scale[1:], scale[:-1])
     sums = np.add.reduceat(val[order], np.flatnonzero(new_idx | np.r_[True, split]))

@@ -363,18 +363,23 @@ def first_picard_iterate(
 
     Coefficient at n: the sum over signed index tuples summing to n of the
     coefficient products times the integral over [0, t] of the oscillation
-    with the tuple's phase mismatch, evaluated through phi1.  The outer free
-    factor (unit modulus) and the -i Duhamel prefactor are omitted; every
-    norm of the result is unaffected.
+    with the tuple's phase mismatch, t phi1(t * mismatch).  The ``power``
+    plain factors stand side by side, so the tuple fold enumerates their
+    multisets once each with its multinomial weight (about half the rows at
+    power 2); the last conjugated factor is paired with the folded rows in
+    chunks of about 2M elements.  The work budget is checked on the ordered
+    count len(f)^(2 power - 1).  The outer free factor (unit modulus) and the
+    -i Duhamel prefactor are omitted; every norm of the result is unaffected.
     """
     if t == 0 or not f:
         return TrigPoly.zero(f.spec)
+    _budget.check(len(f) ** (2 * power - 1), budget, what="Duhamel tuple sum")
     symbol = DispersionSymbol.schrodinger()
-    nfac = 2 * power - 1
-    datas = [evolved_factor_data(f, symbol, conjugated=bool(j % 2)) for j in range(nfac - 1)]
+    plain = evolved_factor_data(f, symbol)
+    conj = evolved_factor_data(f, symbol, conjugated=True)
+    datas = [plain] * power + [conj] * (power - 2)
     base_idx, base_val, base_rate, _ = _fold_tuple_data(datas, budget)
-    last_idx, last_val, last_rate, _ = evolved_factor_data(f, symbol)
-    _budget.check(len(base_val) * len(last_val), budget, what="Duhamel tuple sum")
+    last_idx, last_val, last_rate, _ = conj
 
     spec = f.spec
     chunk = max(1, int(2_000_000 / max(len(last_val), 1)))
@@ -389,7 +394,7 @@ def first_picard_iterate(
         lam_out = spec.freq_float(out_idx)
         rho_out = -(lam_out * lam_out) if spec.d == 1 else -(lam_out * lam_out).sum(axis=1)
         mism = rate_sum - rho_out
-        contrib = vals * (t * phi1(1j * t * mism))
+        contrib = vals * (t * phi1(t * mism))
         gi, gv = group_sum(out_idx, contrib)
         parts_idx.append(gi)
         parts_val.append(gv)

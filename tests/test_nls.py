@@ -322,6 +322,17 @@ def test_first_iterate_power_three_single_mode(sqrt2_spec):
     assert it.coeff((1, 0)) == pytest.approx(abs(a) ** 4 * a * 0.02, rel=1e-12)
 
 
+@pytest.mark.parametrize("power", [2, 3])
+def test_first_iterate_budget_counts_ordered_tuples(sqrt2_spec, power):
+    # the fold builds multiset rows, about half the ordered ones at power 2;
+    # the budget still sees the ordered count M^(2 power - 1)
+    f = random_poly(sqrt2_spec, 6, np.random.default_rng(60), box=3)
+    work = len(f) ** (2 * power - 1)
+    with pytest.raises(BudgetError, match="Duhamel tuple sum"):
+        first_picard_iterate(f, 0.01, power=power, budget=work - 1)
+    assert first_picard_iterate(f, 0.01, power=power, budget=work).l2_norm() > 0
+
+
 def test_picard_scan_flat_for_rank_one(int_spec):
     rep = picard_blowup_scan(int_spec, [8, 16, 32, 64], t=0.01)
     assert abs(rep.slope) < 0.05

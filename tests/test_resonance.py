@@ -4,16 +4,29 @@ Exact phase keys must reproduce the brute-force QScalar oracle, and the float
 twin of each lattice must reproduce the exact result, for up to 6 modes from
 a small index box boosted to heights up to 1e5: the box keeps nontrivial
 resonances, and the boost moves them to large rates without changing them.
+The float mode's (index sum, rate) order must equal ``np.lexsort``, ties
+included, so that its reports stay bitwise those of a lexsort.
 """
 
+import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from qpwave import DispersionSymbol, LatticeSpec, QScalar, TrigPoly
+from qpwave import (
+    DispersionSymbol,
+    LatticeSpec,
+    QScalar,
+    TrigPoly,
+    averaged_norm_check,
+    float_lattice,
+    meannorms,
+)
 from qpwave.meannorms import global_product_norm_sq
 from conftest import float_twin, oracle_global_mean
 
@@ -50,3 +63,29 @@ def test_global_mean_exact_oracle_and_float_twin(f, p):
     assert exact == pytest.approx(oracle_global_mean(f, k), rel=1e-12)
     twin = global_product_norm_sq([float_twin(f)] * k, SCHROD)
     assert twin == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, groups, distinct", [(1, 1, 1), (7, 2, 3), (5000, 300, 40)])
+def test_group_rate_order_matches_lexsort(n, groups, distinct):
+    # a few distinct rates (and both zeros) drawn n times: exact ties within
+    # and across groups
+    rng = np.random.default_rng(n)
+    group = np.sort(rng.integers(0, groups, n))
+    rate = rng.choice(np.r_[1e3 * rng.standard_normal(distinct), 0.0, -0.0], n)
+    got = meannorms._group_rate_order(group, rate)
+    assert (got == np.lexsort((rate, group))).all()
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_float_twin_averaged_reports_match_lexsort_order(monkeypatch, seed):
+    spec = float_lattice([1.0, math.sqrt(2.0)])
+
+    def report():
+        rep = averaged_norm_check(spec, [8, 16, 32, 64], trials=1, max_support=256, seed=seed)
+        return json.dumps(rep.to_json_dict(), sort_keys=True)
+
+    got = report()
+    monkeypatch.setattr(
+        meannorms, "_group_rate_order", lambda group, rate: np.lexsort((rate, group))
+    )
+    assert report() == got

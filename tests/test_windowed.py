@@ -2,14 +2,15 @@
 
 ``windowed_product_norm_sq`` pairs the index-sum groups of the tuple fold,
 which enumerates each multiset of a repeated factor once, batched by size and
-with factored pair phases; ``oracle_windowed`` (conftest) is a per-group phi1
-loop over an ordered ``itertools.product`` enumeration, independent of the
-fold.  The cases cover group sizes from 1 up, the products [f]*2, [f]*3,
-[f, f, g] and [f1, f2], and windows T that put one pair's phase
-theta = T(r_i - r_j) just below or above 1, where the engine switches between
-phi1 and the factored kernel, or near 1e-4, where phi1 switches to its Taylor
-polynomial.  The tolerance is 1e-13 of T * sum over groups of (sum |v|)^2,
-which bounds every pair sum.  The global mean is checked against the exact
+with factored pair phases; ``oracle_windowed`` (conftest) is a per-group loop
+of its own complex ``oracle_phi1`` over an ordered ``itertools.product``
+enumeration, independent of the fold and of the engine's phi1 kernel.  The
+cases cover group sizes from 1 up, the products [f]*2, [f]*3, [f, f, g] and
+[f1, f2], and windows T that put one pair's phase theta = T(r_i - r_j) just
+below or above 1, where the engine switches between phi1 and the factored
+kernel, or near 1e-4, where ``oracle_phi1`` switches to its Taylor polynomial
+(the engine's real-argument phi1 has no branch).  The tolerance is 1e-13 of
+T * sum over groups of (sum |v|)^2, which bounds every pair sum.  The global mean is checked against the exact
 product oracle to 1e-12 of the sum over groups of (sum |term|)^2.
 """
 
@@ -37,8 +38,8 @@ FAMILIES = {
     "d2_sqrt2": [[R(1), QScalar.sqrt(2)], [QScalar.sqrt(2)]],
 }
 SPECS = {name: LatticeSpec(omega) for name, omega in FAMILIES.items()}
-# |theta| of one chosen pair: either side of the split at 1 and of phi1's
-# Taylor switch at 1e-4
+# |theta| of one chosen pair: either side of the engine's split at 1 and of
+# the oracle phi1's Taylor switch at 1e-4
 THETAS = [1 - 1e-12, 1 + 1e-12, 1 - 1e-6, 1 + 1e-6, 1e-4 * (1 - 1e-6), 1e-4 * (1 + 1e-6)]
 TOL = 1e-13
 
