@@ -53,7 +53,6 @@ from .nls import (
     SolveTrace,
     cubic_nonlinearity,
     first_picard_iterate,
-    picard_blowup_scan,
     power_nonlinearity,
     solve,
 )
@@ -74,6 +73,7 @@ from .verify import (
     averaged_norm_check,
     bilinear_scan,
     biorthogonality_check,
+    picard_blowup_scan,
     random_shell_poly,
     strichartz_scan,
 )

@@ -9,6 +9,7 @@ configuration plus seed reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import sys
 from . import budget as _budget
 from .errors import BudgetError, QPWaveError
 from .evolution import DispersionSymbol
-from .kdv import kdv_solve, mean_zero_part, require_real_field
+from .kdv import kdv_solve, mean_zero_part
 from .lattice import LatticeSpec, count_in_interval, min_gap, sqrt2_lattice
 from .meannorms import (
     MixedNormSpec,
@@ -25,12 +26,13 @@ from .meannorms import (
     mixed_norm_free,
     predicted_exponent,
 )
-from .nls import SolverConfig, picard_blowup_scan, solve
+from .nls import SolverConfig, solve
 from .trigpoly import TrigPoly, extremizer
 from .verify import (
     averaged_norm_check,
     bilinear_scan,
     biorthogonality_check,
+    picard_blowup_scan,
     strichartz_scan,
 )
 
@@ -174,51 +176,26 @@ def _cmd_extremizer(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
+    keys = {f.name for f in dataclasses.fields(SolverConfig)}
     if args.config:
         cfg = _load_json(args.config)
-        known = {
-            "trunc_height", "dt", "T", "picard_tol", "max_picard",
-            "sign", "power", "trace_s",
-        }
-        unknown = set(cfg) - known
+        unknown = set(cfg) - keys
         if unknown:
             raise _ValidationError(f"unknown solver config keys: {sorted(unknown)}")
         try:
             return SolverConfig(**cfg)
         except (TypeError, ValueError) as e:
             raise _ValidationError(f"bad solver config: {e}") from e
-    return SolverConfig(
-        trunc_height=args.trunc_height,
-        dt=args.dt,
-        T=args.T,
-        sign=args.sign,
-        power=args.power,
-    )
+    # the solver flags are named after the config fields
+    return SolverConfig(**{k: getattr(args, k) for k in keys if k in args})
 
 
-def _cmd_nls_run(args) -> int:
+def _cmd_solver_run(args) -> int:
     u0 = _load_poly(args.input)
-    cfg = _solver_config(args)
-    res = solve(u0, cfg)
-    if args.trace:
-        res.trace.write_csv(args.trace, config=cfg.to_dict())
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump({**res.final.to_dict(), "config": cfg.to_dict()}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-    last = res.trace.records[-1]
-    print(json.dumps({"t": last.t, "mass": last.mass, "hs_norm": last.hs_norm}))
-    return EXIT_OK
-
-
-def _cmd_kdv_run(args) -> int:
-    u0 = _load_poly(args.input)
-    if args.subtract_mean:
+    if getattr(args, "subtract_mean", False):
         u0 = mean_zero_part(u0)
-    require_real_field(u0)
     cfg = _solver_config(args)
-    res = kdv_solve(u0, cfg)
+    res = args.solver(u0, cfg)
     if args.trace:
         res.trace.write_csv(args.trace, config=cfg.to_dict())
     if args.output:
@@ -370,20 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_extremizer)
 
-    for name, fn in (("nls-run", _cmd_nls_run), ("kdv-run", _cmd_kdv_run)):
+    for name, solver in (("nls-run", solve), ("kdv-run", kdv_solve)):
         p = sub.add_parser(name, help=f"run the truncated {name.split('-')[0]} solver")
         p.add_argument("--input", required=True)
         p.add_argument("--config", help="solver config JSON (overrides flags)")
         p.add_argument("--trunc-height", type=float, default=16.0)
         p.add_argument("--dt", type=float, default=1e-3)
         p.add_argument("--T", type=float, default=0.1)
-        p.add_argument("--sign", type=int, default=1, choices=(-1, 1))
-        p.add_argument("--power", type=int, default=2)
+        if name == "nls-run":
+            p.add_argument("--sign", type=int, default=1, choices=(-1, 1))
+            p.add_argument("--power", type=int, default=2)
+        else:
+            p.add_argument("--subtract-mean", action="store_true")
         p.add_argument("--trace", help="per-step CSV trace path")
         p.add_argument("--output", help="final state JSON path")
-        if name == "kdv-run":
-            p.add_argument("--subtract-mean", action="store_true")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_solver_run, solver=solver)
 
     p = sub.add_parser("picard-scan", help="first-iterate growth on the concentration family")
     _add_lattice_args(p)

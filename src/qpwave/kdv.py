@@ -191,8 +191,14 @@ def kdv_solve(u0: TrigPoly, cfg: SolverConfig, budget: int | None = None) -> Sol
 
     Same collocation Picard stepping as the Schroedinger solver, with the
     cubic dispersion law; the mean stays exactly zero and the squared mean-L^2
-    norm (momentum) is conserved by the truncated flow.
+    norm (momentum) is conserved by the truncated flow.  The nonlinearity is
+    fixed, so a config with a non-default ``sign`` or ``power`` is refused.
     """
+    if cfg.sign != 1 or cfg.power != 2:
+        raise ValueError(
+            f"kdv_solve has a fixed nonlinearity: sign and power must be 1 and 2, "
+            f"got {cfg.sign} and {cfg.power}"
+        )
     require_real_field(u0)
     return _run_solver(u0, cfg, DispersionSymbol.airy(), "derivative", budget)
 

@@ -11,20 +11,22 @@ tolerance rather than the step size.  The contraction ratio of the sweeps is
 monitored; failure to contract signals a step size or data size too large
 for the fixed point to exist.
 
-The state is a coefficient vector over the truncation ball.  A lattice mode
-sum restricts a trigonometric polynomial on the torus T^rank, so the
-nonlinearity is a pointwise product on a torus grid.  With 2 k H + 2 points
-per axis for k factors of height <= H the product's support [-k H, k H] is
-not aliased (padding de-aliasing): the grid coefficients are the exact
-convolution sums, and Parseval's identity gives the part the truncation
-discards.  A grid larger than the work budget raises BudgetError.
+The state is one coefficient vector over the truncation ball from the
+initial data to the final TrigPoly; the four node states of a step are the
+rows of one (4, n) stage array, and the trace norms are read off the vector.
+A lattice mode sum restricts a trigonometric polynomial on the torus
+T^rank, so the nonlinearity is a pointwise product on a torus grid.  With
+2 k H + 2 points per axis for k factors of height <= H the product's support
+[-k H, k H] is not aliased (padding de-aliasing): the grid coefficients are
+the exact convolution sums, and Parseval's identity gives the part the
+truncation discards.  A grid larger than the work budget raises BudgetError.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,8 +36,7 @@ from .evolution import DispersionSymbol
 from .kernels import group_sum, phi1
 from .lattice import ball_indices
 from .meannorms import _fold_tuple_data, evolved_factor_data
-from .report import ScanReport
-from .trigpoly import TrigPoly, extremizer, multiply, project_ball, sobolev_norm
+from .trigpoly import TrigPoly, multiply, project_ball
 
 __all__ = [
     "SolverConfig",
@@ -46,7 +47,6 @@ __all__ = [
     "power_nonlinearity",
     "solve",
     "first_picard_iterate",
-    "picard_blowup_scan",
 ]
 
 TRUNCATION_WARN_FRACTION = 1e-6
@@ -90,16 +90,7 @@ class SolverConfig:
             raise ValueError("trunc_height must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "trunc_height": self.trunc_height,
-            "dt": self.dt,
-            "T": self.T,
-            "picard_tol": self.picard_tol,
-            "max_picard": self.max_picard,
-            "sign": self.sign,
-            "power": self.power,
-            "trace_s": self.trace_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -241,43 +232,40 @@ class _TorusPlan:
 # -- the collocation engine ------------------------------------------------------------
 
 
+def _node_sum(weights, rows):
+    """sum_j weights[..., j] * rows[j], added in node order j = 0..3."""
+    acc = weights[..., 0, None] * rows[0]
+    for j in range(1, 4):
+        acc = acc + weights[..., j, None] * rows[j]
+    return acc
+
+
 def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps):
     """One Gauss-collocation Picard step on coefficient vectors.
 
-    rhs(vector) -> (duhamel right-hand side, squared norm lost to truncation).
-    Returns (vector at step end, sweeps, last contraction ratio, max rhs loss).
+    Node states, node phases and right-hand sides are the rows of (4, n)
+    arrays.  rhs(vector) -> (duhamel right-hand side, squared norm lost to
+    truncation).  Returns (vector at step end, sweeps, last contraction
+    ratio, max rhs loss).
     """
-    taus = _NODES * dt
-    node_phase = [np.exp(1j * tau * rates) for tau in taus]
-    w_nodes = [u_vec] * 4
-    f_nodes = None
+    phase = np.exp(1j * np.outer(_NODES * dt, rates))
+    w = np.tile(u_vec, (4, 1))
     prev_diff = None
     ratio = math.nan
     max_loss = 0.0
     for sweep in range(1, max_sweeps + 1):
-        f_nodes = []
-        for q in range(4):
-            g, loss = rhs(w_nodes[q] * node_phase[q])
+        f = np.empty_like(w)
+        for q, v in enumerate(w * phase):
+            f[q], loss = rhs(v)
             max_loss = max(max_loss, loss)
-            f_nodes.append(g * np.conj(node_phase[q]))
-        diff = 0.0
-        new_nodes = []
-        for q in range(4):
-            acc = u_vec + dt * (
-                _NODE_INTEGRALS[q, 0] * f_nodes[0]
-                + _NODE_INTEGRALS[q, 1] * f_nodes[1]
-                + _NODE_INTEGRALS[q, 2] * f_nodes[2]
-                + _NODE_INTEGRALS[q, 3] * f_nodes[3]
-            )
-            d = float(np.linalg.norm(acc - w_nodes[q]))
-            diff = max(diff, d if math.isfinite(d) else math.inf)
-            new_nodes.append(acc)
-        w_nodes = new_nodes
+        f *= np.conj(phase)
+        w_new = u_vec + dt * _node_sum(_NODE_INTEGRALS, f)
+        diff = float(np.linalg.norm(w_new - w, axis=1).max())
+        if not math.isfinite(diff):
+            diff = math.inf
+        w = w_new
         if prev_diff is not None and prev_diff > 0:
-            if math.isfinite(diff) and math.isfinite(prev_diff):
-                ratio = diff / prev_diff
-            else:
-                ratio = math.inf
+            ratio = diff / prev_diff if math.isfinite(prev_diff) else math.inf
         prev_diff = diff
         if diff < tol:
             break
@@ -287,12 +275,7 @@ def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps):
             f"(last contraction ratio {ratio:.3g}); reduce dt or the data size",
             ratio=ratio,
         )
-    w_end = u_vec + dt * (
-        _END_WEIGHTS[0] * f_nodes[0]
-        + _END_WEIGHTS[1] * f_nodes[1]
-        + _END_WEIGHTS[2] * f_nodes[2]
-        + _END_WEIGHTS[3] * f_nodes[3]
-    )
+    w_end = u_vec + dt * _node_sum(_END_WEIGHTS, f)
     return w_end * np.exp(1j * dt * rates), sweep, ratio, max_loss
 
 
@@ -315,6 +298,9 @@ def _run_solver(u0, cfg, symbol, rhs_kind, budget=None):
         u0.spec, cfg.trunc_height, rhs_kind, symbol, cfg.power, cfg.sign, budget
     )
     state = plan.load(u0)
+    # (1+|n|)^(2 trace_s) on the plan's basis, as in sobolev_norm
+    height = np.sqrt((plan.basis * plan.basis).sum(axis=1))
+    hs_weight = (1.0 + height) ** (2.0 * cfg.trace_s)
     trace = SolveTrace()
     t = 0.0
     warned = False
@@ -334,10 +320,8 @@ def _run_solver(u0, cfg, symbol, rhs_kind, budget=None):
                 stacklevel=3,
             )
             warned = True
-        u_here = plan.unload(state)
-        trace.append(
-            StepRecord(t, mass, sobolev_norm(u_here, cfg.trace_s), step_loss, sweeps, ratio)
-        )
+        hs_norm = float(np.sqrt((hs_weight * (state.real**2 + state.imag**2)).sum()))
+        trace.append(StepRecord(t, mass, hs_norm, step_loss, sweeps, ratio))
     return SolveResult(plan.unload(state), trace)
 
 
@@ -391,9 +375,7 @@ def first_picard_iterate(
         out_idx = (bi[:, None, :] + last_idx[None, :, :]).reshape(-1, spec.rank)
         rate_sum = (br[:, None] + last_rate[None, :]).ravel()
         vals = (bv[:, None] * last_val[None, :]).ravel()
-        lam_out = spec.freq_float(out_idx)
-        rho_out = -(lam_out * lam_out) if spec.d == 1 else -(lam_out * lam_out).sum(axis=1)
-        mism = rate_sum - rho_out
+        mism = rate_sum - symbol.rates_for_indices(spec, out_idx)
         contrib = vals * (t * phi1(t * mism))
         gi, gv = group_sum(out_idx, contrib)
         parts_idx.append(gi)
@@ -402,43 +384,3 @@ def first_picard_iterate(
     all_val = np.concatenate(parts_val)
     gi, gv = group_sum(all_idx, all_val)
     return TrigPoly.from_arrays(spec, gi, gv, prune=True)
-
-
-def picard_blowup_scan(
-    spec,
-    C_list,
-    t: float = 0.01,
-    power: int = 2,
-    budget: int | None = None,
-    config_extra: dict | None = None,
-) -> ScanReport:
-    """Growth of the first Picard iterate on the concentration family.
-
-    Fits the slope of log ||iterate||_{H^0} against log C; for rank-1
-    lattices the family degenerates to the handful of unit-frequency modes
-    and the slope is flat.
-    """
-
-    rows = []
-    for C in C_list:
-        fam = _scan_family(spec, C, budget)
-        val = first_picard_iterate(fam, t, power=power, budget=budget).l2_norm()
-        rows.append((float(C), val, val, val))
-    config = {
-        "scan": "picard-blowup",
-        "lattice": spec.to_dict(),
-        "C_list": [int(c) for c in C_list],
-        "t": t,
-        "power": power,
-    }
-    config.update(config_extra or {})
-    return ScanReport.from_rows("picard-blowup", rows, config)
-
-
-def _scan_family(spec, C, budget=None) -> TrigPoly:
-    """Concentration family at height C; rank-1 fallback: unit-frequency modes."""
-    if spec.rank >= 2:
-        return extremizer(spec, int(C), budget=budget)
-    idx = np.array([[-1], [0], [1]], dtype=np.int64)
-    keep = np.abs(spec.freq_float(idx)) <= 1.0
-    return TrigPoly.from_arrays(spec, idx[keep], np.ones(int(keep.sum())))

@@ -23,13 +23,14 @@ from .meannorms import (
     mixed_norm_free,
     windowed_product_norm_sq,
 )
-from .nls import _scan_family
+from .nls import first_picard_iterate
 from .report import ScanReport
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, extremizer
 
 __all__ = [
     "strichartz_scan",
     "bilinear_scan",
+    "picard_blowup_scan",
     "averaged_norm_check",
     "biorthogonality_check",
     "BiorthogonalityReport",
@@ -60,6 +61,15 @@ def random_shell_poly(
     coeffs = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
     coeffs /= np.linalg.norm(coeffs)
     return TrigPoly.from_arrays(spec, idx, coeffs)
+
+
+def _scan_family(spec, C, budget=None) -> TrigPoly:
+    """Concentration family at height C; rank-1 fallback: unit-frequency modes."""
+    if spec.rank >= 2:
+        return extremizer(spec, int(C), budget=budget)
+    idx = np.array([[-1], [0], [1]], dtype=np.int64)
+    keep = np.abs(spec.freq_float(idx)) <= 1.0
+    return TrigPoly.from_arrays(spec, idx[keep], np.ones(int(keep.sum())))
 
 
 def _single_shell_mode(spec, C, budget=None) -> TrigPoly:
@@ -182,6 +192,37 @@ def bilinear_scan(
         "max_support": max_support,
     }
     return ScanReport.from_rows("bilinear", rows, config, seed=seed)
+
+
+# -- first Picard iterate ---------------------------------------------------------------
+
+
+def picard_blowup_scan(
+    spec: LatticeSpec,
+    C_list,
+    t: float = 0.01,
+    power: int = 2,
+    budget: int | None = None,
+) -> ScanReport:
+    """Growth of the first Picard iterate on the concentration family.
+
+    Fits the slope of log ||iterate||_{H^0} against log C; for rank-1
+    lattices the family degenerates to the handful of unit-frequency modes
+    and the slope is flat.
+    """
+    rows = []
+    for C in C_list:
+        fam = _scan_family(spec, C, budget)
+        val = first_picard_iterate(fam, t, power=power, budget=budget).l2_norm()
+        rows.append((float(C), val, val, val))
+    config = {
+        "scan": "picard-blowup",
+        "lattice": spec.to_dict(),
+        "C_list": [int(c) for c in C_list],
+        "t": t,
+        "power": power,
+    }
+    return ScanReport.from_rows("picard-blowup", rows, config)
 
 
 # -- global-mean check ---------------------------------------------------------------------

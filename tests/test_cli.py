@@ -142,6 +142,31 @@ def test_nls_run_and_trace(capsys, tmp_path):
     assert len(lines) == 12
     g = TrigPoly.from_dict(json.loads(final.read_text()))
     assert g.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-10)
+    # the same command writes the same trace bytes
+    again = tmp_path / "again.csv"
+    code, _, _ = run(
+        capsys, "nls-run", "--input", str(path), "--T", "0.01", "--dt", "1e-3",
+        "--trunc-height", "8", "--trace", str(again),
+    )
+    assert code == 0
+    assert again.read_bytes() == trace.read_bytes()
+
+
+def test_kdv_run_refuses_sign_and_power(capsys, tmp_path):
+    f = TrigPoly(sqrt2_lattice(), {(1, 0): 0.25, (-1, 0): 0.25})
+    u0 = tmp_path / "u0.json"
+    u0.write_text(json.dumps(f.to_dict()))
+    # no flags for them ...
+    for flag in ("--sign", "--power"):
+        code, _, err = run(capsys, "kdv-run", "--input", str(u0), flag, "3")
+        assert code == 2
+        assert "unrecognized arguments" in err
+    # ... and a config file that sets them is refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dt": 1e-3, "T": 0.01, "trunc_height": 6, "sign": -1}))
+    code, _, err = run(capsys, "kdv-run", "--input", str(u0), "--config", str(cfg))
+    assert code == 2
+    assert "fixed nonlinearity" in err
 
 
 def test_kdv_run_requires_real_data(capsys, tmp_path):

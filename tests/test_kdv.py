@@ -133,6 +133,14 @@ def test_kdv_solve_zero(sqrt2_spec):
     assert res.final.l2_norm() == 0.0
 
 
+@pytest.mark.parametrize("extra", [{"sign": -1}, {"power": 3}], ids=["sign", "power"])
+def test_kdv_solve_refuses_sign_and_power(sqrt2_spec, extra):
+    # the KdV nonlinearity has neither a sign nor a power to choose
+    u0 = TrigPoly(sqrt2_spec, {(1, 0): 0.25, (-1, 0): 0.25})
+    with pytest.raises(ValueError, match="fixed nonlinearity"):
+        kdv_solve(u0, SolverConfig(trunc_height=4, dt=1e-3, T=0.01, **extra))
+
+
 def test_kdv_linear_regime_amplitude_scaling(sqrt2_spec):
     # error against the free flow shrinks quadratically with the amplitude
     rng = np.random.default_rng(60)

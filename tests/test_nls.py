@@ -18,13 +18,16 @@ from qpwave import (
     fit_exponent,
     galilean_boost,
     kdv_rhs,
+    kdv_solve,
     picard_blowup_scan,
     power_nonlinearity,
+    sobolev_norm,
     solve,
 )
-from qpwave.nls import _TorusPlan, _scan_family
+from qpwave.nls import _END_WEIGHTS, _NODE_INTEGRALS, _NODES, _TorusPlan, _step_vectors
 from qpwave.trigpoly import project_ball
-from conftest import random_poly
+from qpwave.verify import _scan_family
+from conftest import oracle_first_picard_iterate, random_poly
 
 
 def test_config_validation():
@@ -201,6 +204,42 @@ def test_torus_plan_matches_multiply_oracle(sqrt2_spec, sqrt23_spec):
         assert abs(loss - want_loss) <= 1e-12 * full.l2_norm() ** 2
 
 
+def _reference_step(u_vec, dt, rates, rhs, tol, max_sweeps):
+    """The collocation step on per-node lists, every node sum written out."""
+    A, b = _NODE_INTEGRALS, _END_WEIGHTS
+    phase = [np.exp(1j * tau * rates) for tau in _NODES * dt]
+    w = [u_vec] * 4
+    for sweep in range(1, max_sweeps + 1):
+        f = [rhs(w[q] * phase[q])[0] * np.conj(phase[q]) for q in range(4)]
+        new = [
+            u_vec + dt * (A[q, 0] * f[0] + A[q, 1] * f[1] + A[q, 2] * f[2] + A[q, 3] * f[3])
+            for q in range(4)
+        ]
+        diff = max(np.linalg.norm(x - y) for x, y in zip(new, w))
+        w = new
+        if diff < tol:
+            break
+    end = u_vec + dt * (b[0] * f[0] + b[1] * f[1] + b[2] * f[2] + b[3] * f[3])
+    return end * np.exp(1j * dt * rates), sweep
+
+
+@pytest.mark.parametrize("kind", ["cubic", "derivative"])
+def test_step_matches_per_node_reference(sqrt2_spec, kind):
+    # the stage-array step adds its node sums in node order, so it must agree
+    # with the per-node lists to the last bit
+    deriv = kind == "derivative"
+    symbol = DispersionSymbol.airy() if deriv else DispersionSymbol.schrodinger()
+    plan = _TorusPlan(sqrt2_spec, 6, kind, symbol)
+    rng = np.random.default_rng(63)
+    n = len(plan.basis)
+    u = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    args = (u, 2e-3, plan.rates, plan.rhs, 1e-12, 25)
+    got, sweeps, _, _ = _step_vectors(*args)
+    want, want_sweeps = _reference_step(*args)
+    assert sweeps == want_sweeps
+    assert got.tobytes() == want.tobytes()
+
+
 def test_solve_rank_two_height_24_at_default_budget(sqrt2_spec):
     rng = np.random.default_rng(60)
     u0 = random_poly(sqrt2_spec, 20, rng, box=4, unit=True)
@@ -256,6 +295,20 @@ def test_trace_contents(sqrt2_spec, tmp_path):
     assert header == "t,mass,hs_norm,trunc_loss,picard_iters,contraction"
 
 
+@pytest.mark.filterwarnings("ignore:Galerkin truncation")
+@pytest.mark.parametrize("trace_s", [1.0, -0.5])
+def test_trace_hs_norm_matches_final_state(sqrt2_spec, trace_s):
+    # the trace reads its norm off the state vector; the last record must
+    # agree with sobolev_norm of the returned TrigPoly
+    rng = np.random.default_rng(62)
+    u0 = random_poly(sqrt2_spec, 8, rng, box=3, unit=True)
+    v0 = random_poly(sqrt2_spec, 4, rng, box=3, real=True, unit=True)
+    cfg = SolverConfig(trunc_height=6, dt=2e-3, T=0.01, trace_s=trace_s)
+    for res in (solve(u0, cfg), kdv_solve(v0, cfg)):
+        want = sobolev_norm(res.final, trace_s)
+        assert abs(res.trace.records[-1].hs_norm - want) <= 1e-14 * want
+
+
 # -- the first iterate -------------------------------------------------------------
 
 
@@ -273,35 +326,13 @@ def test_first_iterate_single_mode(sqrt2_spec):
     assert it.coeff((2, -1)) == pytest.approx(abs(a) ** 2 * a * 0.05, rel=1e-13)
 
 
-def _oracle_first_iterate(f, t, nodes=64):
-    """Triple loop plus Gauss quadrature of the oscillatory integral."""
-    spec = f.spec
-    items = list(f.items())
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    ss = (xs + 1) * t / 2
-    out = {}
-    for n1, a1 in items:
-        l1 = float(spec.freq1(n1))
-        for n2, a2 in items:
-            l2 = float(spec.freq1(n2))
-            for n3, a3 in items:
-                l3 = float(spec.freq1(n3))
-                n = tuple(x1 - x2 + x3 for x1, x2, x3 in zip(n1, n2, n3))
-                lo = l1 - l2 + l3
-                # our convention: rate sum (-l1^2 + l2^2 - l3^2) minus (-lo^2)
-                mism = -l1 * l1 + l2 * l2 - l3 * l3 + lo * lo
-                integral = complex(np.dot(ws, np.exp(1j * ss * mism)) * t / 2)
-                out[n] = out.get(n, 0.0) + a1 * a2.conjugate() * a3 * integral
-    return out
-
-
 def test_first_iterate_matches_quadrature_oracle(sqrt2_spec):
     rng = np.random.default_rng(59)
     f = random_poly(sqrt2_spec, 6, rng, box=3)
     t = 0.05
     it = first_picard_iterate(f, t)
-    oracle = _oracle_first_iterate(f, t)
-    for n, v in oracle.items():
+    oracle = oracle_first_picard_iterate(f, t, 2)
+    for n, (v, _) in oracle.items():
         assert abs(it.coeff(n) - v) < 1e-8
     assert len(it.support - set(oracle)) == 0 or all(
         abs(it.coeff(n)) < 1e-12 for n in set(it.support) - set(oracle)

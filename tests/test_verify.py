@@ -137,7 +137,7 @@ def test_averaged_check_periodic_matches_torus(int_spec):
     # the norm tests); here the scan relays exactly that number
     rep = averaged_norm_check(int_spec, [2, 4, 8], trials=1, seed=9)
     from qpwave import MixedNormSpec, mixed_norm_free
-    from qpwave.nls import _scan_family
+    from qpwave.verify import _scan_family
 
     g = MixedNormSpec(p=4, time_mode="global")
     for row in rep.rows:
