@@ -56,7 +56,7 @@ from .nls import (
     power_nonlinearity,
     solve,
 )
-from .report import ScanReport, ScanRow
+from .report import Band, ScanReport, ScanRow
 from .scalars import QScalar
 from .trigpoly import (
     SobolevSpec,

@@ -27,6 +27,7 @@ from .meannorms import (
     predicted_exponent,
 )
 from .nls import SolverConfig, solve
+from .report import Band
 from .trigpoly import TrigPoly, extremizer
 from .verify import (
     averaged_norm_check,
@@ -102,21 +103,20 @@ def _load_poly(path: str) -> TrigPoly:
         raise _ValidationError(f"{path}: not a valid mode-sum file: {e}") from e
 
 
-def _emit(report, args, band_checks=()) -> int:
-    """Write CSV/JSON outputs, print the fit line, enforce slope bands."""
+def _emit(report, args) -> int:
+    """Write CSV/JSON outputs, print the fit line and every failed band."""
     if getattr(args, "output", None):
         report.write_csv(args.output + ".csv")
         report.write_json(args.output + ".json")
     summary = report.fit_summary()
     print(json.dumps({"scan": report.name, **summary, "config_hash": report.hash}))
-    for label, value, lo, hi in band_checks:
-        if not (lo <= value <= hi):
-            print(
-                f"FAIL {label}: {value:.4f} outside declared band [{lo}, {hi}]",
-                file=sys.stderr,
-            )
-            return EXIT_SCAN_FAIL
-    return EXIT_OK
+    failed = [b for b in report.bands if not b.ok]
+    for b in failed:
+        print(
+            f"FAIL {b.label}: {b.value:.4f} outside declared band [{b.lo}, {b.hi}]",
+            file=sys.stderr,
+        )
+    return EXIT_SCAN_FAIL if failed else EXIT_OK
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -209,43 +209,29 @@ def _cmd_solver_run(args) -> int:
 
 
 def _cmd_picard_scan(args) -> int:
-    spec = _parse_lattice(args)
-    report = picard_blowup_scan(spec, _parse_C_list(args.C), t=args.t, power=args.power)
-    target = 5.0 * spec.b / 2.0
-    lo, hi = (args.band if args.band else (target - 0.3, target + 0.3))
-    checks = [] if args.power != 2 else [("picard slope", report.slope, lo, hi)]
-    return _emit(report, args, checks)
+    report = picard_blowup_scan(
+        _parse_lattice(args), _parse_C_list(args.C), t=args.t, power=args.power
+    )
+    if args.band:
+        band = Band("picard slope", report.slope, *args.band)
+        report = dataclasses.replace(report, bands=(band,))
+    return _emit(report, args)
 
 
 def _cmd_strichartz_scan(args) -> int:
-    spec = _parse_lattice(args)
     report = strichartz_scan(
-        spec,
-        _parse_C_list(args.C),
-        T=args.T,
-        trials=args.trials,
+        _parse_lattice(args), _parse_C_list(args.C), T=args.T, trials=args.trials,
         seed=args.seed,
     )
-    target = spec.b / 4.0
-    checks = [
-        ("max-ratio slope", report.slope, -0.5, target + 0.15),
-        ("extremizer slope", report.extra["extremizer_slope"], target - 0.15, target + 0.15),
-    ]
-    return _emit(report, args, checks)
+    return _emit(report, args)
 
 
 def _cmd_bilinear_scan(args) -> int:
-    spec = _parse_lattice(args)
     report = bilinear_scan(
-        spec,
-        _parse_C_list(args.C1),
-        args.C2,
-        T=args.T,
-        trials=args.trials,
-        seed=args.seed,
+        _parse_lattice(args), _parse_C_list(args.C1), args.C2, T=args.T,
+        trials=args.trials, seed=args.seed,
     )
-    checks = [("bilinear slope", report.slope, -0.5, spec.b / 2.0 + 0.15)]
-    return _emit(report, args, checks)
+    return _emit(report, args)
 
 
 def _cmd_biortho_check(args) -> int:
@@ -266,29 +252,19 @@ def _cmd_biortho_check(args) -> int:
 
 
 def _cmd_averaged_check(args) -> int:
-    spec = _parse_lattice(args)
     report = averaged_norm_check(
-        spec, _parse_C_list(args.C), trials=args.trials, seed=args.seed,
+        _parse_lattice(args), _parse_C_list(args.C), trials=args.trials, seed=args.seed,
         symbol=_parse_symbol(args.symbol),
     )
-    checks = [("averaged slope", report.slope, -0.1, 0.1)]
-    return _emit(report, args, checks)
+    return _emit(report, args)
 
 
 def _cmd_predict_exponent(args) -> int:
-    pred = predicted_exponent(args.p, args.d, args.b)
+    s_star, alpha, p_critical = predicted_exponent(args.p, args.d, args.b).as_floats()
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "s_star": float(pred.s_star),
-                    "alpha": float(pred.alpha),
-                    "p_critical": float(pred.p_critical),
-                }
-            )
-        )
+        print(json.dumps({"s_star": s_star, "alpha": alpha, "p_critical": p_critical}))
     else:
-        print(float(pred.s_star))
+        print(s_star)
     return EXIT_OK
 
 
@@ -369,8 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", required=True, help="comma list, e.g. 8,16,32,64")
     p.add_argument("--t", type=float, default=0.01)
     p.add_argument("--power", type=int, default=2,
-                   help="experimental: higher powers scan without a declared band")
-    p.add_argument("--band", type=float, nargs=2, default=None)
+                   help="experimental: higher powers scan without a declared band "
+                   "unless --band is given")
+    p.add_argument("--band", type=float, nargs=2, default=None,
+                   help="LO HI: replaces the declared slope band, at any power")
     p.set_defaults(fn=_cmd_picard_scan)
 
     p = sub.add_parser("strichartz-scan", help="windowed ratio growth in the shell height")

@@ -1,4 +1,5 @@
-"""Scan results: (parameter, value) rows plus a fitted log-log exponent.
+"""Scan results: (parameter, value) rows, a fitted log-log exponent and the
+paper bands that the scan declares for its slopes.
 
 Reports embed the seed, the budget, and a hash of the resolved configuration
 so a scan can be reproduced byte-for-byte from its own output files.
@@ -8,12 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from . import budget as _budget
 from .meannorms import FitResult, fit_exponent
 
-__all__ = ["ScanRow", "ScanReport", "config_hash"]
+__all__ = ["Band", "ScanRow", "ScanReport", "config_hash"]
 
 
 def _canonical_json(obj) -> str:
@@ -33,6 +33,20 @@ class ScanRow:
 
 
 @dataclass(frozen=True)
+class Band:
+    """A measured slope against its declared interval [lo, hi]."""
+
+    label: str
+    value: float
+    lo: float
+    hi: float
+
+    @property
+    def ok(self) -> bool:
+        return self.lo <= self.value <= self.hi
+
+
+@dataclass(frozen=True)
 class ScanReport:
     name: str
     rows: tuple[ScanRow, ...]
@@ -40,6 +54,7 @@ class ScanReport:
     config: dict
     seed: int | None = None
     extra: dict = field(default_factory=dict)
+    bands: tuple[Band, ...] = ()
 
     @property
     def slope(self) -> float:
@@ -50,14 +65,20 @@ class ScanReport:
         return config_hash(self.config)
 
     @classmethod
-    def from_rows(cls, name, rows, config, seed=None, extra=None):
+    def from_rows(cls, name, rows, config, seed=None, extra=None, bands=()):
+        """Fit the rows and resolve each declared ``(label, key, lo, hi)`` band:
+        ``key`` is ``"slope"`` for the fitted slope, else a key of ``extra``."""
         rows = tuple(ScanRow(*r) if not isinstance(r, ScanRow) else r for r in rows)
         fit = fit_exponent([(r.param, r.value) for r in rows])
         config = dict(config)
-        config.setdefault("budget", _budget.get_default_budget())
         if seed is not None:
             config.setdefault("seed", seed)
-        return cls(name, rows, fit, config, seed, dict(extra or {}))
+        extra = dict(extra or {})
+        bands = tuple(
+            Band(label, fit.slope if key == "slope" else extra[key], lo, hi)
+            for label, key, lo, hi in bands
+        )
+        return cls(name, rows, fit, config, seed, extra, bands)
 
     def fit_summary(self) -> dict:
         return {
@@ -78,6 +99,7 @@ class ScanReport:
                 for r in self.rows
             ],
             "extra": self.extra,
+            "bands": [{**asdict(b), "ok": b.ok} for b in self.bands],
         }
 
     def write_json(self, path) -> None:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from qpwave import (
+    Band,
     DispersionSymbol,
     QScalar,
     SolverConfig,
@@ -66,7 +67,11 @@ def test_criterion_03_fixed_time_strichartz_scan(sqrt2_spec):
     )
     max_slope = rep.slope
     ext_slope = rep.extra["extremizer_slope"]
-    ok = max_slope <= 0.25 + 0.15 and ext_slope >= 0.25 - 0.15
+    assert rep.bands == (
+        Band("max-ratio slope", max_slope, -0.5, 0.25 + 0.15),
+        Band("extremizer slope", ext_slope, 0.25 - 0.15, 0.25 + 0.15),
+    )
+    ok = -0.5 <= max_slope <= 0.25 + 0.15 and 0.25 - 0.15 <= ext_slope <= 0.25 + 0.15
     _report(
         3, "windowed scan slopes", ok, t0, 300,
         f"max={max_slope:.3f} extremizer={ext_slope:.3f}",
@@ -88,6 +93,7 @@ def test_criterion_04_counting_exponent(sqrt2_spec, sqrt23_spec):
 def test_criterion_05_averaged_estimate_loss_free(sqrt2_spec):
     t0 = time.monotonic()
     rep = averaged_norm_check(sqrt2_spec, CS, trials=1, seed=0, max_support=256)
+    assert rep.bands == (Band("averaged slope", rep.slope, -0.1, 0.1),)
     _report(5, "global-mean flatness", abs(rep.slope) <= 0.1, t0, 60,
             f"slope={rep.slope:.4f}")
 
@@ -95,6 +101,7 @@ def test_criterion_05_averaged_estimate_loss_free(sqrt2_spec):
 def test_criterion_06_picard_blowup_slope(sqrt2_spec):
     t0 = time.monotonic()
     rep = picard_blowup_scan(sqrt2_spec, CS, t=0.01)
+    assert rep.bands == (Band("picard slope", rep.slope, 2.2, 2.8),)
     _report(6, "first-iterate growth", 2.2 <= rep.slope <= 2.8, t0, 120,
             f"slope={rep.slope:.3f}")
 

@@ -1,10 +1,12 @@
+import argparse
+import dataclasses
 import json
 import math
 
 import pytest
 
-from qpwave import TrigPoly, integer_lattice, sqrt2_lattice
-from qpwave.cli import main
+from qpwave import Band, TrigPoly, integer_lattice, picard_blowup_scan, sqrt2_lattice
+from qpwave.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -71,7 +73,7 @@ def test_budget_exits_3(capsys, monkeypatch):
     qpwave.budget.set_default_budget(qpwave.budget.DEFAULT_BUDGET)
 
 
-def test_scan_band_failure_exits_4(capsys):
+def test_scan_band_failure_exits_4(capsys, tmp_path):
     # force an absurd band so the otherwise-passing scan fails its assertion
     code, _, err = run(
         capsys,
@@ -85,9 +87,37 @@ def test_scan_band_failure_exits_4(capsys):
         "--band",
         "10.0",
         "11.0",
+        "--output",
+        str(tmp_path / "p"),
     )
     assert code == 4
     assert "outside declared band" in err
+    bands = json.loads((tmp_path / "p.json").read_text())["bands"]
+    assert [(b["label"], b["lo"], b["hi"], b["ok"]) for b in bands] == [
+        ("picard slope", 10.0, 11.0, False)
+    ]
+
+
+def test_band_override_applies_at_any_power(capsys):
+    # higher powers declare no band of their own; --band still binds
+    code, _, err = run(
+        capsys, "picard-scan", "--C", "2,4,8", "--power", "3", "--band", "100", "101"
+    )
+    assert code == 4
+    assert "FAIL picard slope" in err
+
+
+def test_every_failed_band_is_reported(capsys):
+    report = picard_blowup_scan(sqrt2_lattice(), [2, 4, 8])
+    bands = (
+        Band("first", 1.0, 2.0, 3.0),
+        Band("second", 1.0, 0.0, 2.0),
+        Band("third", 4.0, 0.0, 2.0),
+    )
+    code = _emit(dataclasses.replace(report, bands=bands), argparse.Namespace(output=None))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "FAIL first" in err and "FAIL third" in err and "second" not in err
 
 
 def test_picard_scan_outputs_and_reproducibility(capsys, tmp_path):

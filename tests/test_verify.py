@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from qpwave import (
+    Band,
     DispersionSymbol,
     TrigPoly,
     averaged_norm_check,
     bilinear_scan,
     biorthogonality_check,
     extremizer,
+    picard_blowup_scan,
     strichartz_scan,
 )
 from qpwave.meannorms import windowed_product_norm_sq
@@ -120,7 +122,8 @@ def test_bilinear_scan_slope_band(sqrt2_spec):
     rep = bilinear_scan(
         sqrt2_spec, [4, 8, 16], 64, T=0.1, trials=2, seed=3, max_support=128
     )
-    assert rep.slope <= sqrt2_spec.b / 2 + 0.15
+    assert -0.5 <= rep.slope <= 0.5 + 0.15
+    assert rep.bands == (Band("bilinear slope", rep.slope, -0.5, 0.5 + 0.15),)
     with pytest.raises(ValueError):
         bilinear_scan(sqrt2_spec, [32], 16, T=0.1)
 
@@ -170,6 +173,22 @@ def test_scan_report_files(tmp_path, sqrt2_spec):
     assert payload["config_hash"] == rep.hash
     assert payload["fit"]["slope"] == rep.slope
     assert payload["config"]["lattice"] == sqrt2_spec.to_dict()
+
+
+def test_scan_config_records_the_budget_it_ran_under(sqrt2_spec):
+    default = strichartz_scan(sqrt2_spec, [2, 4, 8], trials=0, seed=0)
+    rep = strichartz_scan(sqrt2_spec, [2, 4, 8], trials=0, seed=0, budget=123456789)
+    assert rep.config["budget"] == 123456789
+    assert rep.hash != default.hash
+    assert rep.rows == default.rows
+    rep = picard_blowup_scan(sqrt2_spec, [2, 4, 8], budget=98765432)
+    assert rep.config["budget"] == 98765432
+
+
+def test_picard_band_is_declared_for_the_cubic_iterate_only(sqrt2_spec):
+    cubic = picard_blowup_scan(sqrt2_spec, [2, 4, 8])
+    assert [b.label for b in cubic.bands] == ["picard slope"]
+    assert picard_blowup_scan(sqrt2_spec, [2, 4, 8], power=3).bands == ()
 
 
 def test_strichartz_rank_one_is_flat(int_spec):
