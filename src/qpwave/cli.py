@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -277,6 +278,16 @@ def _add_lattice_args(p):
     p.add_argument("--lattice", help="JSON lattice file (overrides --omega)")
 
 
+class _BandAction(argparse.Action):
+    """``--band LO HI``: finite bounds with LO <= HI, else a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi = values
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            parser.error(f"{option_string} needs finite LO <= HI, got {lo} {hi}")
+        setattr(namespace, self.dest, values)
+
+
 def _add_scan_io(p):
     p.add_argument("--output", help="path prefix for .csv/.json outputs")
     p.add_argument("--seed", type=int, default=0)
@@ -347,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=2,
                    help="experimental: higher powers scan without a declared band "
                    "unless --band is given")
-    p.add_argument("--band", type=float, nargs=2, default=None,
+    p.add_argument("--band", type=float, nargs=2, default=None, action=_BandAction,
                    help="LO HI: replaces the declared slope band, at any power")
     p.set_defaults(fn=_cmd_picard_scan)
 

@@ -95,12 +95,22 @@ def mean_value(f: TrigPoly) -> complex:
     return f.coeff((0,) * f.spec.rank)
 
 
+def _check_window(L) -> None:
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"the window half-width L must be positive and finite, got {L}")
+
+
 def mean_value_numeric(f: TrigPoly, L: float, points: int = 200_001) -> complex:
-    """Trapezoid average over [-L, L]; cross-validates the exact mean.  The
-    samples come from ``TrigPoly.evaluate`` on a ``linspace`` grid (block and
-    offset phases, d = 1 only)."""
-    xs = np.linspace(-L, L, points)
-    return complex(np.trapezoid(f.evaluate(xs), xs) / (2 * L))
+    """Trapezoid average over [-L, L] from ``points`` equally spaced samples;
+    cross-validates the exact mean.  The samples come from
+    ``TrigPoly.evaluate_linspace`` (block and offset phases, d = 1 only).  A
+    window that is not positive and finite, or fewer than 2 points, raise
+    ``ValueError``."""
+    _check_window(L)
+    if points < 2:
+        raise ValueError(f"the trapezoid average needs at least 2 points, got {points}")
+    v = f.evaluate_linspace(-L, L, points)
+    return complex(np.trapezoid(v, dx=2 * L / (points - 1)) / (2 * L))
 
 
 # -- exact mean L^p norms (even p) ---------------------------------------------------
@@ -152,13 +162,17 @@ def lp_norm_numeric(
 
     Without an explicit L the window is sized from the smallest spacing of
     p/2-fold frequency sums, which controls the slowest surviving oscillation
-    of |f|^p.  |f| is sampled by ``TrigPoly.evaluate`` on a uniform
-    ``linspace`` grid with at least ``min_points_per_period`` points per
-    period of the fastest mode (block and offset phase tables, one matrix
-    product; d = 1 only).
+    of |f|^p; an explicit L must be positive and finite (else ``ValueError``).
+    |f| is sampled by ``TrigPoly.evaluate_linspace`` at n equally spaced
+    points of [-L, L], at least ``min_points_per_period`` per period of the
+    fastest mode (block and offset phase tables, one matrix product; d = 1
+    only), and the trapezoid rule integrates them with step 2L / (n - 1).
+    The grid size n is checked against the budget before any sampling.
     """
     if f.spec.d != 1:
         raise ValueError("numeric mean norms require d = 1")
+    if L is not None:
+        _check_window(L)
     if not f:
         return 0.0
     lam = f.freqs_float()
@@ -170,7 +184,7 @@ def lp_norm_numeric(
     step = 2 * math.pi / (min_points_per_period * max_lam)
     n = int(2 * L / step) + 2
     _budget.check(n, budget, what="quadrature grid")
-    v = f.evaluate(np.linspace(-L, L, n))
+    v = f.evaluate_linspace(-L, L, n)
     vals = (v.real**2 + v.imag**2) ** (p / 2)
     mean = float(np.trapezoid(vals, dx=2 * L / (n - 1)) / (2 * L))
     return mean ** (1.0 / p)

@@ -12,6 +12,7 @@ objects; nothing mutates in place.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,14 +190,13 @@ class TrigPoly:
         return bool(np.abs(gap).max() <= tol * max(float(np.abs(vals).max()), 1.0))
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """Pointwise values on a uniform 1-d grid such as ``np.linspace`` (d = 1 only).
+        """Pointwise values on a caller's uniform 1-d grid such as ``np.linspace``
+        (d = 1 only).
 
-        With x0 = xs[0], h = (xs[-1] - xs[0]) / (n - 1) and K = isqrt(n - 1) + 1,
-        sample j = bK + k is x0 + h bK + h k, so f there is the product of a block
-        phase table (modes x blocks, times the coefficients) and an offset phase
-        table (modes x K): one matrix product and about 2 sqrt(n) exponentials
-        per mode.  Points further than 8 ulps of the larger endpoint from that
-        grid raise ``ValueError``.
+        With x0 = xs[0], x1 = xs[-1] and n = len(xs), every point must lie within
+        8 ulps of the larger endpoint of x0 + j (x1 - x0) / (n - 1); otherwise
+        ``ValueError``.  The values are then those of
+        ``evaluate_linspace(x0, x1, n)``, bit for bit.
         """
         if self.spec.d != 1:
             raise ValueError("evaluate requires d = 1")
@@ -214,6 +214,30 @@ class TrigPoly:
         drift -= xs
         if not np.abs(drift, out=drift).max() <= 8 * np.spacing(max(abs(x0), abs(x1))):
             raise ValueError("evaluate requires a uniform grid")
+        return self.evaluate_linspace(x0, x1, n)
+
+    def evaluate_linspace(self, start: float, stop: float, num: int) -> np.ndarray:
+        """Pointwise values at ``np.linspace(start, stop, num)`` without building
+        that grid (d = 1 only); the same bits as ``evaluate`` on it.
+
+        With h = (stop - start) / (num - 1) and K = isqrt(num - 1) + 1, sample
+        j = bK + k is start + h bK + h k, so f there is the product of a block
+        phase table (modes x blocks, times the coefficients) and an offset phase
+        table (modes x K): one matrix product and about 2 sqrt(num) exponentials
+        per mode.  Negative ``num`` and non-finite endpoints or step raise
+        ``ValueError``.
+        """
+        if self.spec.d != 1:
+            raise ValueError("evaluate requires d = 1")
+        n = operator.index(num)
+        if n < 0:
+            raise ValueError(f"number of samples must be non-negative, got {n}")
+        if n == 0:
+            return np.zeros(0, dtype=complex)
+        x0, x1 = float(start), float(stop)
+        h = (x1 - x0) / max(n - 1, 1)  # linspace's own step
+        if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(h)):
+            raise ValueError("evaluate requires finite endpoints and step")
         if not self:
             return np.zeros(n, dtype=complex)
         K = math.isqrt(n - 1) + 1

@@ -107,6 +107,14 @@ def test_band_override_applies_at_any_power(capsys):
     assert "FAIL picard slope" in err
 
 
+@pytest.mark.parametrize("band", [("3", "2"), ("nan", "2"), ("1", "inf"), ("-1", "nan")])
+def test_band_must_be_a_finite_ordered_pair(capsys, band):
+    code, out, err = run(capsys, "picard-scan", "--C", "8,16,32", "--band", *band)
+    assert code == 2
+    assert "--band needs finite LO <= HI" in err
+    assert out == ""  # refused before any scan
+
+
 def test_every_failed_band_is_reported(capsys):
     report = picard_blowup_scan(sqrt2_lattice(), [2, 4, 8])
     bands = (

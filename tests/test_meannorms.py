@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qpwave import (
+    BudgetError,
     DispersionSymbol,
     MixedNormSpec,
     TrigPoly,
@@ -84,6 +85,66 @@ def test_lp_numeric_periodic_full_periods(int_spec):
     exact = lp_norm_exact(f, 4)
     got = lp_norm_numeric(f, 4, L=40 * math.pi, min_points_per_period=64)
     assert got == pytest.approx(exact, rel=1e-6)
+
+
+def _quadrature_reference(f, p, L, per_period=8):
+    """lp_norm_numeric's documented recipe on a materialised linspace grid."""
+    max_lam = max(1.0, float(np.abs(f.freqs_float()).max()))
+    n = int(2 * L / (2 * math.pi / (per_period * max_lam))) + 2
+    v = f.evaluate(np.linspace(-L, L, n))
+    vals = (v.real**2 + v.imag**2) ** (p / 2)
+    return float(np.trapezoid(vals, dx=2 * L / (n - 1)) / (2 * L)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("spec_name", ["sqrt2_spec", "int_spec", "sqrt23_spec"])
+def test_lp_numeric_pinned_to_linspace_reference(spec_name, request):
+    spec = request.getfixturevalue(spec_name)
+    rng = np.random.default_rng(24)
+    for p, L, per_period in ((4, 300.0, 8), (6, 123.25, 8), (4, 40 * math.pi, 64)):
+        f = random_poly(spec, 7, rng, box=3)
+        got = lp_norm_numeric(f, p, L=L, min_points_per_period=per_period)
+        assert got == _quadrature_reference(f, p, L, per_period)
+
+
+def test_mean_value_numeric_matches_linspace_trapezoid(sqrt2_spec):
+    # the dx form of the trapezoid rule against the abscissa form, to roundoff
+    rng = np.random.default_rng(25)
+    for L, points in ((2000.0, 200_001), (37.5, 1001), (1.0, 2)):
+        f = random_poly(sqrt2_spec, 8, rng, box=3) + TrigPoly.single(sqrt2_spec, (0, 0), 1.5)
+        xs = np.linspace(-L, L, points)
+        want = np.trapezoid(f.evaluate(xs), xs) / (2 * L)
+        mass = float(np.abs(f.as_arrays()[1]).sum())
+        assert abs(mean_value_numeric(f, L=L, points=points) - want) <= 1e-14 * mass
+
+
+def test_lp_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch):
+    f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (0, 1): 0.5j})
+    with pytest.raises(BudgetError, match="quadrature grid"):
+        lp_norm_numeric(f, 4, L=1e15)  # ~4e15 samples: refused, not allocated
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr(TrigPoly, "evaluate_linspace", no_sampling)
+    with pytest.raises(BudgetError, match="quadrature grid"):
+        lp_norm_numeric(f, 4, L=100.0, budget=100)
+
+
+@pytest.mark.parametrize("L", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_numeric_routes_refuse_degenerate_windows(sqrt2_spec, L):
+    f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (0, 1): 0.5j})
+    for g in (f, TrigPoly.zero(sqrt2_spec)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lp_norm_numeric(g, 4, L=L)
+        with pytest.raises(ValueError, match="positive and finite"):
+            mean_value_numeric(g, L=L)
+
+
+@pytest.mark.parametrize("points", [-1, 0, 1])
+def test_mean_value_numeric_refuses_fewer_than_two_points(sqrt2_spec, points):
+    f = TrigPoly(sqrt2_spec, {(0, 0): 2.0, (1, 0): 1.0})
+    with pytest.raises(ValueError, match="at least 2 points"):
+        mean_value_numeric(f, L=10.0, points=points)
 
 
 def test_norm_homogeneity_and_triangle(sqrt2_spec):
