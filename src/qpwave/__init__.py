@@ -59,6 +59,7 @@ from .nls import (
 from .report import Band, ScanReport, ScanRow
 from .scalars import QScalar
 from .trigpoly import (
+    Linspace,
     SobolevSpec,
     TrigPoly,
     extremizer,

@@ -42,7 +42,7 @@ from . import budget as _budget
 from .errors import NumericConsistencyError
 from .evolution import DispersionSymbol
 from .kernels import group_boundaries, pack_rows, phi1
-from .trigpoly import TrigPoly, multiply
+from .trigpoly import Linspace, TrigPoly, multiply
 
 __all__ = [
     "MixedNormSpec",
@@ -103,13 +103,14 @@ def _check_window(L) -> None:
 def mean_value_numeric(f: TrigPoly, L: float, points: int = 200_001) -> complex:
     """Trapezoid average over [-L, L] from ``points`` equally spaced samples;
     cross-validates the exact mean.  The samples come from
-    ``TrigPoly.evaluate_linspace`` (block and offset phases, d = 1 only).  A
+    ``TrigPoly.evaluate`` on a ``Linspace`` grid (block and offset phases,
+    d = 1 only; no abscissa array is built).  A
     window that is not positive and finite, or fewer than 2 points, raise
     ``ValueError``."""
     _check_window(L)
     if points < 2:
         raise ValueError(f"the trapezoid average needs at least 2 points, got {points}")
-    v = f.evaluate_linspace(-L, L, points)
+    v = f.evaluate(Linspace(-L, L, points))
     return complex(np.trapezoid(v, dx=2 * L / (points - 1)) / (2 * L))
 
 
@@ -163,8 +164,8 @@ def lp_norm_numeric(
     Without an explicit L the window is sized from the smallest spacing of
     p/2-fold frequency sums, which controls the slowest surviving oscillation
     of |f|^p; an explicit L must be positive and finite (else ``ValueError``).
-    |f| is sampled by ``TrigPoly.evaluate_linspace`` at n equally spaced
-    points of [-L, L], at least ``min_points_per_period`` per period of the
+    |f| is sampled by ``TrigPoly.evaluate`` on ``Linspace(-L, L, n)``, n
+    equally spaced points of [-L, L] with no abscissa array built, at least ``min_points_per_period`` per period of the
     fastest mode (block and offset phase tables, one matrix product; d = 1
     only), and the trapezoid rule integrates them with step 2L / (n - 1).
     The grid size n is checked against the budget before any sampling.
@@ -184,7 +185,7 @@ def lp_norm_numeric(
     step = 2 * math.pi / (min_points_per_period * max_lam)
     n = int(2 * L / step) + 2
     _budget.check(n, budget, what="quadrature grid")
-    v = f.evaluate_linspace(-L, L, n)
+    v = f.evaluate(Linspace(-L, L, n))
     vals = (v.real**2 + v.imag**2) ** (p / 2)
     mean = float(np.trapezoid(vals, dx=2 * L / (n - 1)) / (2 * L))
     return mean ** (1.0 / p)

@@ -25,6 +25,7 @@ from .lattice import LatticeSpec, in_shell
 
 __all__ = [
     "TrigPoly",
+    "Linspace",
     "SobolevSpec",
     "multiply",
     "project_height",
@@ -50,6 +51,60 @@ class SobolevSpec:
     def __post_init__(self):
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
+
+
+@dataclass(frozen=True)
+class Linspace:
+    """The grid ``np.linspace(start, stop, num)``, held as its endpoints and size.
+
+    ``TrigPoly.evaluate`` samples it from these three numbers, with no abscissa
+    array and no uniformity check.  ``size`` is ``num``, as ``ndarray.size`` of
+    the grid it stands for.  A negative ``num`` and non-finite endpoints or
+    step raise ``ValueError``.
+    """
+
+    start: float
+    stop: float
+    num: int
+
+    def __post_init__(self):
+        num = operator.index(self.num)
+        if num < 0:
+            raise ValueError(f"number of samples must be non-negative, got {num}")
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "stop", float(self.stop))
+        object.__setattr__(self, "num", num)
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ValueError("a Linspace needs finite endpoints and step")
+
+    @property
+    def step(self) -> float:
+        """``linspace``'s own step, not a difference of samples."""
+        return (self.stop - self.start) / max(self.num - 1, 1)
+
+    @property
+    def size(self) -> int:
+        return self.num
+
+
+def _as_linspace(xs) -> Linspace:
+    """The ``Linspace`` a caller's array is, to 8 ulps of its larger endpoint;
+    ``ValueError`` if it is not a uniform 1-d grid."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("evaluate requires a uniform grid")
+    n = len(xs)
+    if n == 0:
+        return Linspace(0.0, 0.0, 0)
+    x0, x1 = float(xs[0]), float(xs[-1])
+    h = (x1 - x0) / max(n - 1, 1)  # linspace's own step
+    drift = np.arange(n, dtype=float)  # |xs - (x0 + h j)|, in place
+    drift *= h
+    drift += x0
+    drift -= xs
+    if not np.abs(drift, out=drift).max() <= 8 * np.spacing(max(abs(x0), abs(x1))):
+        raise ValueError("evaluate requires a uniform grid")
+    return Linspace(x0, x1, n)
 
 
 class TrigPoly:
@@ -189,56 +244,27 @@ class TrigPoly:
         _, gap = group_sum(np.concatenate([idx, -idx]), np.concatenate([vals, -vals.conj()]))
         return bool(np.abs(gap).max() <= tol * max(float(np.abs(vals).max()), 1.0))
 
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """Pointwise values on a caller's uniform 1-d grid such as ``np.linspace``
-        (d = 1 only).
+    def evaluate(self, xs: np.ndarray | Linspace) -> np.ndarray:
+        """Pointwise values on a uniform 1-d grid (d = 1 only).
 
-        With x0 = xs[0], x1 = xs[-1] and n = len(xs), every point must lie within
-        8 ulps of the larger endpoint of x0 + j (x1 - x0) / (n - 1); otherwise
-        ``ValueError``.  The values are then those of
-        ``evaluate_linspace(x0, x1, n)``, bit for bit.
+        ``xs`` is a caller's array such as ``np.linspace(a, b, n)``, or
+        ``Linspace(a, b, n)``, which stands for that array without building it.
+        An array must be uniform: with x0 = xs[0], x1 = xs[-1] and n = len(xs),
+        every point lies within 8 ulps of the larger endpoint of
+        x0 + j (x1 - x0) / (n - 1), otherwise ``ValueError``.  The values depend
+        on x0, x1 and n alone, so both forms of one grid give the same bits.
+
+        With h = (x1 - x0) / (n - 1) and K = isqrt(n - 1) + 1, sample j = bK + k
+        is x0 + h bK + h k, so f there is the product of a block phase table
+        (modes x blocks, times the coefficients) and an offset phase table
+        (modes x K): one matrix product and about 2 sqrt(n) exponentials per
+        mode.
         """
         if self.spec.d != 1:
             raise ValueError("evaluate requires d = 1")
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 1:
-            raise ValueError("evaluate requires a uniform grid")
-        n = len(xs)
-        if n == 0:
-            return np.zeros(0, dtype=complex)
-        x0, x1 = float(xs[0]), float(xs[-1])
-        h = (x1 - x0) / max(n - 1, 1)  # linspace's own step
-        drift = np.arange(n, dtype=float)  # |xs - (x0 + h j)|, in place
-        drift *= h
-        drift += x0
-        drift -= xs
-        if not np.abs(drift, out=drift).max() <= 8 * np.spacing(max(abs(x0), abs(x1))):
-            raise ValueError("evaluate requires a uniform grid")
-        return self.evaluate_linspace(x0, x1, n)
-
-    def evaluate_linspace(self, start: float, stop: float, num: int) -> np.ndarray:
-        """Pointwise values at ``np.linspace(start, stop, num)`` without building
-        that grid (d = 1 only); the same bits as ``evaluate`` on it.
-
-        With h = (stop - start) / (num - 1) and K = isqrt(num - 1) + 1, sample
-        j = bK + k is start + h bK + h k, so f there is the product of a block
-        phase table (modes x blocks, times the coefficients) and an offset phase
-        table (modes x K): one matrix product and about 2 sqrt(num) exponentials
-        per mode.  Negative ``num`` and non-finite endpoints or step raise
-        ``ValueError``.
-        """
-        if self.spec.d != 1:
-            raise ValueError("evaluate requires d = 1")
-        n = operator.index(num)
-        if n < 0:
-            raise ValueError(f"number of samples must be non-negative, got {n}")
-        if n == 0:
-            return np.zeros(0, dtype=complex)
-        x0, x1 = float(start), float(stop)
-        h = (x1 - x0) / max(n - 1, 1)  # linspace's own step
-        if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(h)):
-            raise ValueError("evaluate requires finite endpoints and step")
-        if not self:
+        grid = xs if isinstance(xs, Linspace) else _as_linspace(xs)
+        n, x0, h = grid.num, grid.start, grid.step
+        if n == 0 or not self:
             return np.zeros(n, dtype=complex)
         K = math.isqrt(n - 1) + 1
         starts = x0 + h * (K * np.arange(-(-n // K)))

@@ -6,9 +6,9 @@ sample.  They must agree to a few roundoff units of the largest phase,
 eps * max|lambda| * max|x|, times the coefficient mass, on every lattice
 family, grid size (including the edges of the K x K block layout) and
 window, and ``evaluate`` must refuse what is not a uniform 1-d grid.
-``TrigPoly.evaluate_linspace`` is the engine behind ``evaluate``: from the
-endpoints alone it must return the bits ``evaluate`` returns on the
-``np.linspace`` grid, and refuse what ``evaluate`` refuses there.
+On a ``Linspace``, which stands for an ``np.linspace`` grid without building
+it, ``evaluate`` must return the bits it returns on that grid, and the
+``Linspace`` must refuse what ``evaluate`` refuses there.
 """
 
 import math
@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from qpwave import LatticeSpec, QScalar, TrigPoly, integer_lattice, sqrt2_lattice
+from qpwave import LatticeSpec, Linspace, QScalar, TrigPoly, integer_lattice, sqrt2_lattice
 from conftest import oracle_evaluate
 
 EPS = np.finfo(float).eps
@@ -103,43 +103,38 @@ def test_evaluate_refuses_d2():
 
 
 def assert_same_bits(f, a, b, n):
-    got, want = f.evaluate_linspace(a, b, n), f.evaluate(np.linspace(a, b, n))
+    got, want = f.evaluate(Linspace(a, b, n)), f.evaluate(np.linspace(a, b, n))
     assert got.dtype == want.dtype == complex
     assert got.shape == want.shape == (n,)
     assert got.tobytes() == want.tobytes()
 
 
 ENDPOINT = st.floats(-1e5, 1e5)
+ONE = TrigPoly.single(SPECS["sqrt2"], (1, 1), 0.5 - 2j)
 
 
 @given(polys(), st.one_of(st.sampled_from([0, 1, 2]), sizes()), ENDPOINT, ENDPOINT)
-def test_evaluate_linspace_is_evaluate_on_linspace(f, n, a, b):
+@example(ONE, 3, 2.0, 2.0)
+@example(ONE, 2, -0.0, 1.0)
+@example(TrigPoly.zero(ONE.spec), 3, -0.0, 1.0)
+def test_linspace_is_evaluate_on_linspace(f, n, a, b):
     assert_same_bits(f, a, b, n)
     assert_same_bits(f, b, a, n)  # the same grid descending
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_evaluate_linspace_edges(name, n):
-    spec = SPECS[name]
-    one = TrigPoly.single(spec, (1,) * spec.rank, 0.5 - 2j)
-    for f in (TrigPoly.zero(spec), one):
-        for a, b in ((-3.0, 5.5), (5.5, -3.0), (2.0, 2.0), (-0.0, 1.0)):
-            assert_same_bits(f, a, b, n)
-
-
-def test_evaluate_linspace_refuses_what_evaluate_refuses():
+def test_linspace_refuses_what_evaluate_refuses():
     f = TrigPoly(SPECS["sqrt2"], {(1, 0): 1.0, (0, 1): 0.5j})
     with pytest.raises(ValueError, match="non-negative"):
-        f.evaluate_linspace(0.0, 1.0, -1)
+        Linspace(0.0, 1.0, -1)
     for a, b, n in ((-math.inf, 0.0, 5), (0.0, math.nan, 3), (0.0, math.inf, 1),
                     (-1e308, 1e308, 4), (-1e308, 1e308, 1)):
         for g in (f, TrigPoly.zero(f.spec)):
             with pytest.raises(ValueError):
                 with np.errstate(all="ignore"):
                     g.evaluate(np.linspace(a, b, n))
-            with pytest.raises(ValueError, match="finite"):
-                g.evaluate_linspace(a, b, n)
+        with pytest.raises(ValueError, match="finite"):
+            Linspace(a, b, n)
     spec = LatticeSpec([[1.0], [math.sqrt(2.0)]])
     with pytest.raises(ValueError, match="d = 1"):
-        TrigPoly.single(spec, (1, 1)).evaluate_linspace(0.0, 1.0, 5)
+        TrigPoly.single(spec, (1, 1)).evaluate(Linspace(0.0, 1.0, 5))
+    assert np.size(Linspace(0.0, 1.0, 7)) == 7  # counts samples like the array

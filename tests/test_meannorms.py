@@ -125,7 +125,7 @@ def test_lp_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled past the budget")
 
-    monkeypatch.setattr(TrigPoly, "evaluate_linspace", no_sampling)
+    monkeypatch.setattr(TrigPoly, "evaluate", no_sampling)
     with pytest.raises(BudgetError, match="quadrature grid"):
         lp_norm_numeric(f, 4, L=100.0, budget=100)
 
