@@ -1,9 +1,10 @@
-"""Work budgets for enumerations and tuple sums.
+"""The work budget for enumerations and tuple sums.
 
 Every operation that enumerates lattice points or index tuples checks its
-estimated work against a budget before running.  The default keeps desk-scale
-scans under a minute; callers may pass an explicit ``budget=`` or change the
-process-wide default.
+estimated work against one process-wide budget before running; each guard
+is checked on its own, not summed over a call.  The default keeps desk-scale
+scans under a minute; ``set_default_budget`` (or the CLI's ``QPWAVE_BUDGET``)
+changes it.
 """
 
 from __future__ import annotations

@@ -77,14 +77,6 @@ def _parse_lattice(args) -> LatticeSpec:
     return LatticeSpec([entries])
 
 
-def _parse_symbol(name: str) -> DispersionSymbol:
-    if name == "schrodinger":
-        return DispersionSymbol.schrodinger()
-    if name == "airy":
-        return DispersionSymbol.airy()
-    raise _ValidationError(f"unknown symbol {name!r}")
-
-
 def _parse_C_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
@@ -137,7 +129,7 @@ def _cmd_mixed_norm(args) -> int:
     f = _load_poly(args.input)
     mode = "global" if args.global_mean else "window"
     mspec = MixedNormSpec(p=args.p, time_mode=mode, T=None if args.global_mean else args.T)
-    print(repr(mixed_norm_free(f, _parse_symbol(args.symbol), mspec)))
+    print(repr(mixed_norm_free(f, DispersionSymbol(args.symbol), mspec)))
     return EXIT_OK
 
 
@@ -255,7 +247,7 @@ def _cmd_biortho_check(args) -> int:
 def _cmd_averaged_check(args) -> int:
     report = averaged_norm_check(
         _parse_lattice(args), _parse_C_list(args.C), trials=args.trials, seed=args.seed,
-        symbol=_parse_symbol(args.symbol),
+        symbol=DispersionSymbol(args.symbol),
     )
     return _emit(report, args)
 

@@ -173,20 +173,18 @@ def resonance_bound_check(
 # -- the truncated flow ---------------------------------------------------------------
 
 
-def kdv_rhs(
-    u: TrigPoly, trunc_height: float | None = None, budget: int | None = None
-) -> TrigPoly:
+def kdv_rhs(u: TrigPoly, trunc_height: float | None = None) -> TrigPoly:
     """Coefficients of u u_x = (u^2/2)_x; the zero mode vanishes identically."""
     if u.spec.d != 1:
         raise ValueError("kdv_rhs requires d = 1")
-    w = multiply(u, u, budget=budget)
+    w = multiply(u, u)
     idx, vals = w.as_arrays()
     lam = w.freqs_float()
     out = TrigPoly.from_arrays(u.spec, idx, vals * (0.5j * lam), prune=True)
     return out if trunc_height is None else project_ball(out, trunc_height)
 
 
-def kdv_solve(u0: TrigPoly, cfg: SolverConfig, budget: int | None = None) -> SolveResult:
+def kdv_solve(u0: TrigPoly, cfg: SolverConfig) -> SolveResult:
     """Integrate u_t + u_xxx = u u_x for real mean-zero data up to T.
 
     Same collocation Picard stepping as the Schroedinger solver, with the
@@ -200,7 +198,7 @@ def kdv_solve(u0: TrigPoly, cfg: SolverConfig, budget: int | None = None) -> Sol
             f"got {cfg.sign} and {cfg.power}"
         )
     require_real_field(u0)
-    return _run_solver(u0, cfg, DispersionSymbol.airy(), "derivative", budget)
+    return _run_solver(u0, cfg, DispersionSymbol.airy(), "derivative")
 
 
 def homogeneous_sobolev_norm(u: TrigPoly, s1: float, s2: float = 0.0) -> float:

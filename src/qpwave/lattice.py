@@ -230,18 +230,18 @@ def float_lattice(entries) -> LatticeSpec:
 # -- index enumeration ----------------------------------------------------------
 
 
-def _box_grid(rank: int, half: int, budget: int | None) -> np.ndarray:
+def _box_grid(rank: int, half: int) -> np.ndarray:
     count = (2 * half + 1) ** rank
-    _budget.check(count, budget, what=f"box enumeration ({2*half+1}^{rank} points)")
+    _budget.check(count, what=f"box enumeration ({2*half+1}^{rank} points)")
     axes = [np.arange(-half, half + 1, dtype=np.int64)] * rank
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def ball_indices(spec: LatticeSpec, radius: float, budget: int | None = None) -> np.ndarray:
+def ball_indices(spec: LatticeSpec, radius: float) -> np.ndarray:
     """All indices with Euclidean height <= radius, lexicographically sorted."""
     half = int(np.floor(radius))
-    idx = _box_grid(spec.rank, half, budget)
+    idx = _box_grid(spec.rank, half)
     h2 = (idx * idx).sum(axis=1)
     return idx[h2 <= radius * radius]
 
@@ -253,9 +253,9 @@ def in_shell(h2, C: int):
     return (h2 <= 1) if C == 1 else ((4 * h2 > C * C) & (h2 <= C * C))
 
 
-def shell_indices(spec: LatticeSpec, C: int, budget: int | None = None) -> np.ndarray:
+def shell_indices(spec: LatticeSpec, C: int) -> np.ndarray:
     """Indices in the dyadic height shell: C/2 < |n| <= C, with |n| <= 1 for C = 1."""
-    idx = _box_grid(spec.rank, C, budget)
+    idx = _box_grid(spec.rank, C)
     return idx[in_shell((idx * idx).sum(axis=1), C)]
 
 
@@ -269,7 +269,6 @@ def count_in_interval(
     hi,
     include_lo: bool = True,
     include_hi: bool = False,
-    budget: int | None = None,
 ) -> int:
     """Number of shell-C indices whose frequency lies in the interval [lo, hi).
 
@@ -293,7 +292,7 @@ def count_in_interval(
         fields = {e.d for e in ends if e is not None}
         if spec.radicand != 1 and not fields <= {1, spec.radicand}:
             raise ValueError(f"interval endpoints {lo}, {hi} lie outside Q(sqrt {spec.radicand})")
-    idx = shell_indices(spec, C, budget)
+    idx = shell_indices(spec, C)
     lam = spec.freq_float(idx)
     margin = 1e-9 * (1.0 + sum(abs(x) for x in (flo, fhi) if math.isfinite(x)))
     near = np.flatnonzero((np.abs(lam - flo) <= margin) | (np.abs(lam - fhi) <= margin))
@@ -309,9 +308,7 @@ def count_in_interval(
     return int((lo_ok & hi_ok).sum())
 
 
-def max_unit_interval_count(
-    spec: LatticeSpec, C: int, budget: int | None = None
-) -> tuple[int, float]:
+def max_unit_interval_count(spec: LatticeSpec, C: int) -> tuple[int, float]:
     """Largest number of shell-C frequencies in any closed interval of length 1.
 
     Returns (count, left endpoint of a maximizing interval).  The maximum over
@@ -319,7 +316,7 @@ def max_unit_interval_count(
     """
     if spec.d != 1:
         raise ValueError("max_unit_interval_count requires d = 1")
-    idx = shell_indices(spec, C, budget)
+    idx = shell_indices(spec, C)
     if len(idx) == 0:
         return 0, 0.0
     lam = np.sort(spec.freq_float(idx))
@@ -332,7 +329,7 @@ def max_unit_interval_count(
 # -- diophantine probes --------------------------------------------------------------
 
 
-def _dim_box_min(spec, i, H, budget):
+def _dim_box_min(spec, i, H):
     """Min |frequency| over the punctured box |m|_inf <= H in dimension block i.
 
     Returns (min value as float, argmin index tuple).  In exact mode the rows
@@ -341,7 +338,7 @@ def _dim_box_min(spec, i, H, budget):
     and its exact value is returned correctly rounded.
     """
     rank = spec.nu[i]
-    idx = _box_grid(rank, H, budget)
+    idx = _box_grid(rank, H)
     idx = idx[np.any(idx != 0, axis=1)]
     vals = np.abs(idx @ spec.float_omega(i))
     scale = 1e-12 * (1.0 + float(np.abs(spec.float_omega(i)).sum()) * H)
@@ -380,7 +377,7 @@ class NonResonanceResult:
     height: int
 
 
-def nonresonance_check(spec: LatticeSpec, H: int, budget: int | None = None) -> NonResonanceResult:
+def nonresonance_check(spec: LatticeSpec, H: int) -> NonResonanceResult:
     """Smallest |frequency| over nonzero indices in the box |n|_inf <= H.
 
     Exact mode either returns a strictly positive witness or raises
@@ -391,7 +388,7 @@ def nonresonance_check(spec: LatticeSpec, H: int, budget: int | None = None) -> 
         raise ValueError("H must be >= 1")
     best = None
     for i in range(spec.d):
-        v, arg = _dim_box_min(spec, i, H, budget)
+        v, arg = _dim_box_min(spec, i, H)
         if best is None or v < best[0]:
             best = (v, arg, i)
     return NonResonanceResult(best[0], best[1], best[2], H)
@@ -405,7 +402,7 @@ class MinGapResult:
     heights: tuple[tuple[int, float], ...]
 
 
-def min_gap(spec: LatticeSpec, H: int, budget: int | None = None) -> MinGapResult:
+def min_gap(spec: LatticeSpec, H: int) -> MinGapResult:
     """Minimal distance between distinct frequencies of height <= h, h = 2,4,...,H.
 
     With box heights the difference set is the box of side 4h+1, so the gap at
@@ -425,7 +422,7 @@ def min_gap(spec: LatticeSpec, H: int, budget: int | None = None) -> MinGapResul
         heights.append(H)
     rows = []
     for h in heights:
-        v, _ = _dim_box_min(spec, 0, 2 * h, budget)
+        v, _ = _dim_box_min(spec, 0, 2 * h)
         rows.append((h, v))
     gaps = np.array([g for _, g in rows])
     hs = np.array([h for h, _ in rows], dtype=float)

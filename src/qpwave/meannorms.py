@@ -26,12 +26,13 @@ cancels, evaluate phi1; the diagonal is exactly T.  The globally averaged
 norm keeps only tuples whose dispersive phases cancel exactly.  On an exact
 lattice (any d) that is decided on int64 phase keys, the rates scaled by the
 generators' common denominator, and is the fold's merge; in float mode rate
-sums coincide within RESONANCE_FLOAT_TOL of the summed sizes of their terms.
+sums coincide within FLOAT_SUM_TOL of the summed sizes of their terms.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -42,7 +43,7 @@ from . import budget as _budget
 from .errors import NumericConsistencyError
 from .evolution import DispersionSymbol
 from .kernels import group_boundaries, pack_rows, phi1
-from .trigpoly import Linspace, TrigPoly, multiply
+from .trigpoly import FLOAT_SUM_TOL, Linspace, TrigPoly, multiply
 
 __all__ = [
     "MixedNormSpec",
@@ -59,10 +60,6 @@ __all__ = [
     "ExponentPrediction",
 ]
 
-# Float-mode coincidence of rate (or frequency) sums, relative to the summed
-# sizes of their terms: equal sums differ by about one roundoff unit of it,
-# distinct sums of boosted small-box data at heights up to 1e5 by >= 8e-13.
-RESONANCE_FLOAT_TOL = 1e-14
 IMAG_RESIDUE_TOL = 1e-12
 # Pairs per (k, s, s) block of the windowed pairing: one numpy pass per block
 # while its complex temporaries stay a few MB.
@@ -117,7 +114,7 @@ def mean_value_numeric(f: TrigPoly, L: float, points: int = 200_001) -> complex:
 # -- exact mean L^p norms (even p) ---------------------------------------------------
 
 
-def lp_norm_exact(f: TrigPoly, p: int, budget: int | None = None) -> float:
+def lp_norm_exact(f: TrigPoly, p: int) -> float:
     """Mean L^p norm via matched index tuples; p in {2, 4, 6}."""
     if p == 2:
         return f.l2_norm()
@@ -125,29 +122,29 @@ def lp_norm_exact(f: TrigPoly, p: int, budget: int | None = None) -> float:
         raise ValueError("exact mean norms are available for p in {2, 4, 6}")
     if not f:
         return 0.0
-    g = multiply(f, f, budget=budget)
+    g = multiply(f, f)
     if p == 4:
         _, gv = g.as_arrays()
         total = float((gv.real**2 + gv.imag**2).sum())
         return total ** (1.0 / 4.0)
     _budget.check_memory(len(g) * len(f), what="triple-sum table")
-    h = multiply(g, f, budget=budget)
+    h = multiply(g, f)
     _, hv = h.as_arrays()
     total = float((hv.real**2 + hv.imag**2).sum())
     return total ** (1.0 / 6.0)
 
 
-def _tuple_sum_gap(lam: np.ndarray, scales: np.ndarray, k: int, budget: int | None) -> float:
+def _tuple_sum_gap(lam: np.ndarray, scales: np.ndarray, k: int) -> float:
     """Smallest positive spacing among k-fold frequency sums (0 if none);
-    spacings within RESONANCE_FLOAT_TOL of the summed term scales are roundoff."""
-    _budget.check(len(lam) ** k, budget, what="tuple-sum spacing scan")
+    spacings within FLOAT_SUM_TOL of the summed term scales are roundoff."""
+    _budget.check(len(lam) ** k, what="tuple-sum spacing scan")
     sums, mags = lam, scales
     for _ in range(k - 1):
         sums, mags = _outer(sums, lam), _outer(mags, scales)
     order = np.argsort(sums)
     sums, mags = sums[order], mags[order]
     d = np.diff(sums)
-    d = d[d > RESONANCE_FLOAT_TOL * np.maximum(mags[1:], mags[:-1])]
+    d = d[d > FLOAT_SUM_TOL * np.maximum(mags[1:], mags[:-1])]
     return float(d.min()) if len(d) else 0.0
 
 
@@ -156,7 +153,6 @@ def lp_norm_numeric(
     p: int,
     L: float | None = None,
     min_points_per_period: int = 8,
-    budget: int | None = None,
 ) -> float:
     """Quadrature estimate of the mean L^p norm over [-L, L]; the independent
     check for ``lp_norm_exact``.
@@ -165,11 +161,21 @@ def lp_norm_numeric(
     p/2-fold frequency sums, which controls the slowest surviving oscillation
     of |f|^p; an explicit L must be positive and finite (else ``ValueError``).
     |f| is sampled by ``TrigPoly.evaluate`` on ``Linspace(-L, L, n)``, n
-    equally spaced points of [-L, L] with no abscissa array built, at least ``min_points_per_period`` per period of the
-    fastest mode (block and offset phase tables, one matrix product; d = 1
-    only), and the trapezoid rule integrates them with step 2L / (n - 1).
-    The grid size n is checked against the budget before any sampling.
+    equally spaced points of [-L, L] with no abscissa array built, at least
+    ``min_points_per_period`` per period of the fastest mode (block and
+    offset phase tables, one matrix product; d = 1 only), and the trapezoid
+    rule integrates them with step 2L / (n - 1).
+    The grid size n is checked against the work budget before any sampling.
+    ``ValueError`` unless p is a positive even integer (the window is sized
+    from p/2-fold sums) and ``min_points_per_period`` an integer >= 2 (fewer
+    samples per period cannot resolve the fastest mode).
     """
+    if not (isinstance(p, numbers.Integral) and p > 0 and p % 2 == 0):
+        raise ValueError(f"p must be a positive even integer, got {p!r}")
+    if not (isinstance(min_points_per_period, numbers.Integral) and min_points_per_period >= 2):
+        raise ValueError(
+            f"min_points_per_period must be an integer >= 2, got {min_points_per_period!r}"
+        )
     if f.spec.d != 1:
         raise ValueError("numeric mean norms require d = 1")
     if L is not None:
@@ -180,11 +186,11 @@ def lp_norm_numeric(
     max_lam = max(1.0, float(np.abs(lam).max()))
     if L is None:
         scales = f.spec.freq_float(np.abs(f.as_arrays()[0]))
-        gap = _tuple_sum_gap(lam, scales, max(1, p // 2), budget)
+        gap = _tuple_sum_gap(lam, scales, p // 2)
         L = 1e4 / gap if gap > 0 else 1e3
     step = 2 * math.pi / (min_points_per_period * max_lam)
     n = int(2 * L / step) + 2
-    _budget.check(n, budget, what="quadrature grid")
+    _budget.check(n, what="quadrature grid")
     v = f.evaluate(Linspace(-L, L, n))
     vals = (v.real**2 + v.imag**2) ** (p / 2)
     mean = float(np.trapezoid(vals, dx=2 * L / (n - 1)) / (2 * L))
@@ -223,7 +229,7 @@ def _factor_datas(polys, symbol):
     return datas
 
 
-def _fold_tuple_data(datas, budget, scales=None):
+def _fold_tuple_data(datas, scales=None):
     """Combine per-factor mode data into tuple data sorted by index sum: index
     sums, coefficient products, rate sums, and summed exact phase keys (on an
     exact lattice; ValueError if a sum could leave int64) or else the summed
@@ -252,7 +258,7 @@ def _fold_tuple_data(datas, budget, scales=None):
     for prev, data in zip(datas, datas[1:]):
         size = len(data[1])
         work *= size
-        _budget.check(work, budget, what="tuple enumeration")
+        _budget.check(work, what="tuple enumeration")
         last = rows[-1]
         repeated = data is prev
         counts = size - last if repeated else np.full(len(last), size)
@@ -310,7 +316,7 @@ def _pair_block_sum(v, r, e, T):
     return (v[:, :, None] * v[:, None, :].conj() * kern).sum()
 
 
-def windowed_product_norm_sq(polys, symbol, T, budget=None) -> float:
+def windowed_product_norm_sq(polys, symbol, T) -> float:
     """Integral over [0, T] of the squared mean L^2 norm of the product of the
     free evolutions of ``polys``; exact up to roundoff.
 
@@ -330,10 +336,10 @@ def windowed_product_norm_sq(polys, symbol, T, budget=None) -> float:
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
-    idx, val, rate, _ = _fold_tuple_data(_factor_datas(polys, symbol), budget)
+    idx, val, rate, _ = _fold_tuple_data(_factor_datas(polys, symbol))
     cuts = group_boundaries(idx)
     sizes = np.diff(np.r_[cuts, len(idx)])
-    _budget.check(int((sizes.astype(np.int64) ** 2).sum()), budget, what="windowed tuple pairing")
+    _budget.check(int((sizes.astype(np.int64) ** 2).sum()), what="windowed tuple pairing")
     T = float(T)
     phase = np.exp(1j * T * (rate - np.repeat(rate[cuts], sizes)))
     total = 0.0 + 0.0j
@@ -363,7 +369,7 @@ def _group_rate_order(group, rate):
     return np.argsort(group * n + dense, kind="stable")
 
 
-def global_product_norm_sq(polys, symbol, budget=None) -> float:
+def global_product_norm_sq(polys, symbol) -> float:
     """Global time-mean of the squared mean L^2 norm of the evolved product:
     only exactly phase-matched tuples survive the averaging.
 
@@ -371,7 +377,7 @@ def global_product_norm_sq(polys, symbol, budget=None) -> float:
     already merged the tuples of equal index sum and phase, so the result is
     the sum of its squared values.  Float mode sorts the fold's rows (each
     multiset of a repeated factor once) by rate within each index sum and
-    groups rate sums that agree within RESONANCE_FLOAT_TOL of their summed
+    groups rate sums that agree within FLOAT_SUM_TOL of their summed
     term sizes; that is validated on boosted small-box data up to heights of
     about 1e5.  Near 1e6 distinct rate sums can lie closer than the tolerance
     and are then merged without any error, so the result can be wrong there.
@@ -381,18 +387,18 @@ def global_product_norm_sq(polys, symbol, budget=None) -> float:
         return 0.0
     datas = _factor_datas(polys, symbol)
     if datas[0][3] is not None:
-        _, val, _, _ = _fold_tuple_data(datas, budget)
+        _, val, _, _ = _fold_tuple_data(datas)
         return float((val.real**2 + val.imag**2).sum())
     # float mode: a rate is exact to a few roundoff units of the law with
     # absolute coefficients at sum_i |n_i| omega_i (generators are > 0)
     law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
     scales = [np.abs(law.rates_for_indices(f.spec, np.abs(d[0]))) for f, d in zip(polys, datas)]
-    idx, val, rate, scale = _fold_tuple_data(datas, budget, scales)
+    idx, val, rate, scale = _fold_tuple_data(datas, scales)
     new_idx = np.zeros(len(idx), dtype=bool)
     new_idx[group_boundaries(idx)] = True
     order = _group_rate_order(np.cumsum(new_idx) - 1, rate)
     rate, scale = rate[order], scale[order]
-    split = np.diff(rate) > RESONANCE_FLOAT_TOL * np.maximum(scale[1:], scale[:-1])
+    split = np.diff(rate) > FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1])
     sums = np.add.reduceat(val[order], np.flatnonzero(new_idx | np.r_[True, split]))
     return float((sums.real**2 + sums.imag**2).sum())
 
@@ -401,7 +407,6 @@ def mixed_norm_free(
     f: TrigPoly,
     symbol: DispersionSymbol,
     mspec: MixedNormSpec,
-    budget: int | None = None,
 ) -> float:
     """Space-time norm of the free evolution of f.
 
@@ -418,9 +423,9 @@ def mixed_norm_free(
         return f.l2_norm()
     k = p // 2
     if mspec.time_mode == "window":
-        total = windowed_product_norm_sq([f] * k, symbol, mspec.T, budget)
+        total = windowed_product_norm_sq([f] * k, symbol, mspec.T)
     else:
-        total = global_product_norm_sq([f] * k, symbol, budget)
+        total = global_product_norm_sq([f] * k, symbol)
     return max(total, 0.0) ** (1.0 / p)
 
 

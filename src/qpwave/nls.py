@@ -147,10 +147,9 @@ def cubic_nonlinearity(
     u: TrigPoly,
     sign: int = 1,
     trunc_height: float | None = None,
-    budget: int | None = None,
 ) -> TrigPoly:
     """sign * |u|^2 u by two lattice convolutions, Galerkin-truncated."""
-    return power_nonlinearity(u, 2, sign, trunc_height, budget)
+    return power_nonlinearity(u, 2, sign, trunc_height)
 
 
 def power_nonlinearity(
@@ -158,14 +157,13 @@ def power_nonlinearity(
     power: int,
     sign: int = 1,
     trunc_height: float | None = None,
-    budget: int | None = None,
 ) -> TrigPoly:
     """sign * |u|^(2(power-1)) u; power = 2 recovers the cubic case."""
     uc = u.conj()
     v = u
     for _ in range(power - 1):
-        v = multiply(v, uc, budget=budget)
-        v = multiply(v, u, budget=budget)
+        v = multiply(v, uc)
+        v = multiply(v, u)
     if sign == -1:
         v = -v
     return v if trunc_height is None else project_ball(v, trunc_height)
@@ -182,15 +180,13 @@ class _TorusPlan:
     with the multiplier i freq/2 taken at the grid's wrapped indices.
     """
 
-    def __init__(self, spec, trunc_height, kind, symbol, power=2, sign=1, budget=None):
+    def __init__(self, spec, trunc_height, kind, symbol, power=2, sign=1):
         factors = 2 if kind == "derivative" else 2 * power - 1
         # a product of `factors` modes of height <= H lies in [-factors*H, factors*H]
         side = 2 * factors * int(trunc_height) + 2
-        _budget.check(
-            side**spec.rank, budget, what=f"torus grid ({side}^{spec.rank} points)"
-        )
+        _budget.check(side**spec.rank, what=f"torus grid ({side}^{spec.rank} points)")
         self.spec = spec
-        self.basis = ball_indices(spec, trunc_height, budget)
+        self.basis = ball_indices(spec, trunc_height)
         self.rates = symbol.rates_for_indices(spec, self.basis)
         self.shape = (side,) * spec.rank
         self.pos = np.ravel_multi_index(tuple((self.basis % side).T), self.shape)
@@ -291,12 +287,10 @@ def _split_steps(T, dt):
     return steps
 
 
-def _run_solver(u0, cfg, symbol, rhs_kind, budget=None):
+def _run_solver(u0, cfg, symbol, rhs_kind):
     if len(project_ball(u0, cfg.trunc_height)) != len(u0):
         raise ValueError("initial data must be supported inside the truncation ball")
-    plan = _TorusPlan(
-        u0.spec, cfg.trunc_height, rhs_kind, symbol, cfg.power, cfg.sign, budget
-    )
+    plan = _TorusPlan(u0.spec, cfg.trunc_height, rhs_kind, symbol, cfg.power, cfg.sign)
     state = plan.load(u0)
     # (1+|n|)^(2 trace_s) on the plan's basis, as in sobolev_norm
     height = np.sqrt((plan.basis * plan.basis).sum(axis=1))
@@ -329,20 +323,17 @@ def solve(
     u0: TrigPoly,
     cfg: SolverConfig,
     symbol: DispersionSymbol | None = None,
-    budget: int | None = None,
 ) -> SolveResult:
     """Integrate i u_t + u_xx = sign |u|^(2(power-1)) u from data u0 up to T."""
     if symbol is None:
         symbol = DispersionSymbol.schrodinger()
-    return _run_solver(u0, cfg, symbol, "cubic", budget)
+    return _run_solver(u0, cfg, symbol, "cubic")
 
 
 # -- the first Picard iterate, exactly ------------------------------------------------
 
 
-def first_picard_iterate(
-    f: TrigPoly, t: float, power: int = 2, budget: int | None = None
-) -> TrigPoly:
+def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     """Closed-form Duhamel integral of the free-evolution nonlinearity.
 
     Coefficient at n: the sum over signed index tuples summing to n of the
@@ -357,12 +348,12 @@ def first_picard_iterate(
     """
     if t == 0 or not f:
         return TrigPoly.zero(f.spec)
-    _budget.check(len(f) ** (2 * power - 1), budget, what="Duhamel tuple sum")
+    _budget.check(len(f) ** (2 * power - 1), what="Duhamel tuple sum")
     symbol = DispersionSymbol.schrodinger()
     plain = evolved_factor_data(f, symbol)
     conj = evolved_factor_data(f, symbol, conjugated=True)
     datas = [plain] * power + [conj] * (power - 2)
-    base_idx, base_val, base_rate, _ = _fold_tuple_data(datas, budget)
+    base_idx, base_val, base_rate, _ = _fold_tuple_data(datas)
     last_idx, last_val, last_rate, _ = conj
 
     spec = f.spec

@@ -36,9 +36,12 @@ __all__ = [
 ]
 
 PRUNE_REL = 1e-15
-# A float frequency lies within a few roundoff units of its row's summed term
-# scale sum_j |n_j| omega_j; band decisions widen their margin by this much.
-FREQ_FLOAT_TOL = 1e-14
+# Roundoff of a float sum (a frequency sum_j n_j omega_j, or a sum of dispersive
+# rates) relative to the summed sizes of its terms: equal sums differ by about one
+# roundoff unit of that size, distinct sums of boosted small-box data at heights up
+# to 1e5 by >= 8e-13.  Band decisions widen their margin by it, and float-mode
+# resonance grouping merges sums closer than it.
+FLOAT_SUM_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -304,7 +307,7 @@ class TrigPoly:
 # -- lattice convolution ------------------------------------------------------------------
 
 
-def multiply(f: TrigPoly, g: TrigPoly, budget: int | None = None) -> TrigPoly:
+def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Pointwise product of the represented functions: convolution of coefficients."""
     f._check_same_spec(g)
     if not f or not g:
@@ -312,7 +315,7 @@ def multiply(f: TrigPoly, g: TrigPoly, budget: int | None = None) -> TrigPoly:
     fi, fv = f.as_arrays()
     gi, gv = g.as_arrays()
     work = len(fv) * len(gv)
-    _budget.check(work, budget, what="coefficient convolution")
+    _budget.check(work, what="coefficient convolution")
     sums = (fi[:, None, :] + gi[None, :, :]).reshape(-1, f.spec.rank)
     vals = (fv[:, None] * gv[None, :]).ravel()
     idx, out = group_sum(sums, vals)
@@ -339,11 +342,11 @@ def project_ball(f: TrigPoly, radius: float) -> TrigPoly:
 
 def _freq_band(spec, idx, mag, lo, hi, margin) -> np.ndarray:
     """Mask of frequency moduli mag in (lo, hi] (lo None: mag <= hi); in exact
-    mode rows within margin, widened by FREQ_FLOAT_TOL of the row's summed term
+    mode rows within margin, widened by FLOAT_SUM_TOL of the row's summed term
     scale, of a bound are decided on the exact squared modulus
     den^2 |lam|^2 = a + b sqrt D, against (hi den)^2 and (lo den)^2."""
     scale = spec.freq_float(np.abs(idx)).reshape(len(idx), spec.d).sum(axis=1)
-    margin = margin + FREQ_FLOAT_TOL * scale
+    margin = margin + FLOAT_SUM_TOL * scale
     flo = -np.inf if lo is None else float(lo)
     inside = (hi - mag > margin) & (mag - flo > margin)
     outside = (mag - hi > margin) | (flo - mag > margin)
@@ -396,7 +399,7 @@ def sobolev_norm(f: TrigPoly, spec: SobolevSpec | float) -> float:
 # -- the concentration family ---------------------------------------------------------------------
 
 
-def extremizer(spec: LatticeSpec, C: int, budget: int | None = None) -> TrigPoly:
+def extremizer(spec: LatticeSpec, C: int) -> TrigPoly:
     """Unit coefficients on shell-C indices whose frequency has modulus <= 1.
 
     For rank >= 2 the last coordinate can always be chosen to bring the
@@ -411,7 +414,7 @@ def extremizer(spec: LatticeSpec, C: int, budget: int | None = None) -> TrigPoly
     w = spec.float_omega(0)
     w_last = w[-1]
     per_row = int(2.0 / w_last) + 3
-    _budget.check((2 * C + 1) ** (r - 1) * per_row, budget, what="extremizer enumeration")
+    _budget.check((2 * C + 1) ** (r - 1) * per_row, what="extremizer enumeration")
 
     axes = [np.arange(-C, C + 1, dtype=np.int64)] * (r - 1)
     mesh = np.meshgrid(*axes, indexing="ij") if r > 1 else []

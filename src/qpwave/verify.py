@@ -48,14 +48,13 @@ def random_shell_poly(
     C: int,
     rng: np.random.Generator,
     max_support: int = DEFAULT_MAX_SUPPORT,
-    budget: int | None = None,
 ) -> TrigPoly:
     """Unit-norm Gaussian data supported on (a sample of) the height-C shell.
 
     Shells larger than ``max_support`` are subsampled so that the exact tuple
     sums downstream stay inside the work budget.
     """
-    idx = shell_indices(spec, C, budget)
+    idx = shell_indices(spec, C)
     if len(idx) == 0:
         raise ValueError(f"shell {C} is empty")
     if len(idx) > max_support:
@@ -66,34 +65,33 @@ def random_shell_poly(
     return TrigPoly.from_arrays(spec, idx, coeffs)
 
 
-def _scan_family(spec, C, budget=None) -> TrigPoly:
+def _scan_family(spec, C) -> TrigPoly:
     """Concentration family at height C; rank-1 fallback: unit-frequency modes."""
     if spec.rank >= 2:
-        return extremizer(spec, int(C), budget=budget)
+        return extremizer(spec, int(C))
     idx = np.array([[-1], [0], [1]], dtype=np.int64)
     keep = np.abs(spec.freq_float(idx)) <= 1.0
     return TrigPoly.from_arrays(spec, idx[keep], np.ones(int(keep.sum())))
 
 
-def _single_shell_mode(spec, C, budget=None) -> TrigPoly:
-    idx = shell_indices(spec, C, budget)
+def _single_shell_mode(spec, C) -> TrigPoly:
+    idx = shell_indices(spec, C)
     return TrigPoly.single(spec, tuple(int(x) for x in idx[0]))
 
 
-def _shell_ratios(ratio, spec, C, trials, seed, max_support, budget) -> list[float]:
+def _shell_ratios(ratio, spec, C, trials, seed, max_support) -> list[float]:
     """``ratio`` of the concentration family, one shell mode, then the seeded trials."""
-    rs = [ratio(_scan_family(spec, C, budget)), ratio(_single_shell_mode(spec, C, budget))]
+    rs = [ratio(_scan_family(spec, C)), ratio(_single_shell_mode(spec, C))]
     for trial in range(trials):
         rng = np.random.default_rng([seed, int(C), trial])
-        rs.append(ratio(random_shell_poly(spec, C, rng, max_support, budget)))
+        rs.append(ratio(random_shell_poly(spec, C, rng, max_support)))
     return rs
 
 
-def _config(scan: str, spec: LatticeSpec, budget, **params) -> dict:
-    """Resolved scan configuration, recording the budget the scan ran under."""
-    return {
-        "scan": scan, "lattice": spec.to_dict(), "budget": _budget.resolve(budget), **params
-    }
+def _config(scan: str, spec: LatticeSpec, **params) -> dict:
+    """Resolved scan configuration, recording the work budget the scan ran under."""
+    budget = _budget.get_default_budget()
+    return {"scan": scan, "lattice": spec.to_dict(), "budget": budget, **params}
 
 
 # -- fixed-window scan -----------------------------------------------------------------
@@ -107,7 +105,6 @@ def strichartz_scan(
     seed: int = 0,
     symbol: DispersionSymbol | None = None,
     max_support: int = DEFAULT_MAX_SUPPORT,
-    budget: int | None = None,
 ) -> ScanReport:
     """Windowed space-time norm against T^(1/8) times the mean-L^2 norm.
 
@@ -124,15 +121,13 @@ def strichartz_scan(
     denom_pow = T**0.125
 
     def ratio(f: TrigPoly) -> float:
-        return mixed_norm_free(f, symbol, mspec, budget=budget) / (denom_pow * f.l2_norm())
+        return mixed_norm_free(f, symbol, mspec) / (denom_pow * f.l2_norm())
 
-    per_C = [
-        _shell_ratios(ratio, spec, C, trials, seed, max_support, budget) for C in C_list
-    ]
+    per_C = [_shell_ratios(ratio, spec, C, trials, seed, max_support) for C in C_list]
     rows = [(float(C), max(rs), min(rs), max(rs)) for C, rs in zip(C_list, per_C)]
     fam_rows = [(float(C), rs[0]) for C, rs in zip(C_list, per_C)]
     config = _config(
-        "strichartz", spec, budget, C_list=[int(c) for c in C_list], T=T,
+        "strichartz", spec, C_list=[int(c) for c in C_list], T=T,
         trials=trials, symbol=symbol.kind, max_support=max_support,
     )
     loss = spec.b / 4.0
@@ -163,7 +158,6 @@ def bilinear_scan(
     trials: int = 4,
     seed: int = 0,
     max_support: int = 256,
-    budget: int | None = None,
 ) -> ScanReport:
     """Product of two evolved shells in L^2_t L^2_x against T^(1/4) times the
     product of the mean-L^2 norms; the slope in the smaller height stays below
@@ -180,23 +174,23 @@ def bilinear_scan(
     denom_pow = T**0.25
 
     def pair_ratio(f1, f2):
-        energy = windowed_product_norm_sq([f1, f2], symbol, T, budget=budget)
+        energy = windowed_product_norm_sq([f1, f2], symbol, T)
         return math.sqrt(max(energy, 0.0)) / (denom_pow * f1.l2_norm() * f2.l2_norm())
 
-    fam2 = _scan_family(spec, C2, budget)
+    fam2 = _scan_family(spec, C2)
 
     def run_C1(C1):
-        rs = [pair_ratio(_scan_family(spec, C1, budget), fam2)]
+        rs = [pair_ratio(_scan_family(spec, C1), fam2)]
         for trial in range(trials):
             rng = np.random.default_rng([seed, int(C1), trial])
-            f1 = random_shell_poly(spec, C1, rng, max_support, budget)
-            f2 = random_shell_poly(spec, C2, rng, max_support, budget)
+            f1 = random_shell_poly(spec, C1, rng, max_support)
+            f2 = random_shell_poly(spec, C2, rng, max_support)
             rs.append(pair_ratio(f1, f2))
         return (float(C1), max(rs), min(rs), max(rs))
 
     rows = [run_C1(C1) for C1 in C1_list]
     config = _config(
-        "bilinear", spec, budget, C1_list=[int(c) for c in C1_list], C2=int(C2), T=T,
+        "bilinear", spec, C1_list=[int(c) for c in C1_list], C2=int(C2), T=T,
         trials=trials, max_support=max_support,
     )
     bands = [("bilinear slope", "slope", -0.5, spec.b / 2.0 + 0.15)]
@@ -211,7 +205,6 @@ def picard_blowup_scan(
     C_list,
     t: float = 0.01,
     power: int = 2,
-    budget: int | None = None,
 ) -> ScanReport:
     """Growth of the first Picard iterate on the concentration family.
 
@@ -222,12 +215,10 @@ def picard_blowup_scan(
     """
     rows = []
     for C in C_list:
-        fam = _scan_family(spec, C, budget)
-        val = first_picard_iterate(fam, t, power=power, budget=budget).l2_norm()
+        fam = _scan_family(spec, C)
+        val = first_picard_iterate(fam, t, power=power).l2_norm()
         rows.append((float(C), val, val, val))
-    config = _config(
-        "picard-blowup", spec, budget, C_list=[int(c) for c in C_list], t=t, power=power
-    )
+    config = _config("picard-blowup", spec, C_list=[int(c) for c in C_list], t=t, power=power)
     growth = 5.0 * spec.b / 2.0
     bands = [("picard slope", "slope", growth - 0.3, growth + 0.3)] if power == 2 else []
     return ScanReport.from_rows("picard-blowup", rows, config, bands=bands)
@@ -243,7 +234,6 @@ def averaged_norm_check(
     seed: int = 0,
     symbol: DispersionSymbol | None = None,
     max_support: int = DEFAULT_MAX_SUPPORT,
-    budget: int | None = None,
 ) -> ScanReport:
     """Globally time-averaged space-time norm against the mean-L^2 norm.
 
@@ -257,14 +247,12 @@ def averaged_norm_check(
     mspec = MixedNormSpec(p=4, time_mode="global")
 
     def ratio(f: TrigPoly) -> float:
-        return mixed_norm_free(f, symbol, mspec, budget=budget) / f.l2_norm()
+        return mixed_norm_free(f, symbol, mspec) / f.l2_norm()
 
-    per_C = [
-        _shell_ratios(ratio, spec, C, trials, seed, max_support, budget) for C in C_list
-    ]
+    per_C = [_shell_ratios(ratio, spec, C, trials, seed, max_support) for C in C_list]
     rows = [(float(C), rs[0], min(rs), max(rs)) for C, rs in zip(C_list, per_C)]
     config = _config(
-        "averaged", spec, budget, C_list=[int(c) for c in C_list], trials=trials,
+        "averaged", spec, C_list=[int(c) for c in C_list], trials=trials,
         symbol=symbol.kind, max_support=max_support,
     )
     return ScanReport.from_rows(

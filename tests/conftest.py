@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qpwave import LatticeSpec, QScalar, TrigPoly, integer_lattice, sqrt2_lattice
+from qpwave import budget as _budget
 from qpwave.errors import NumericConsistencyError
 from qpwave.meannorms import IMAG_RESIDUE_TOL, evolved_factor_data
 from qpwave.trigpoly import PRUNE_REL
@@ -22,6 +23,15 @@ else:
     settings.load_profile("qpwave")
 
 SQRT2 = math.sqrt(2.0)
+
+
+@pytest.fixture
+def work_budget():
+    """Setter of the process-wide work budget, ``work_budget(n)``; the budget in
+    force before the test is restored at teardown, whatever set it."""
+    saved = _budget.get_default_budget()
+    yield _budget.set_default_budget
+    _budget.set_default_budget(saved)
 
 
 @pytest.fixture

@@ -5,7 +5,14 @@ import math
 
 import pytest
 
-from qpwave import Band, TrigPoly, integer_lattice, picard_blowup_scan, sqrt2_lattice
+from qpwave import (
+    Band,
+    TrigPoly,
+    get_default_budget,
+    integer_lattice,
+    picard_blowup_scan,
+    sqrt2_lattice,
+)
 from qpwave.cli import _emit, main
 
 
@@ -60,17 +67,25 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert "line 1" in err
 
 
-def test_budget_exits_3(capsys, monkeypatch):
+def test_budget_exits_3(capsys, monkeypatch, work_budget):
+    # main() sets the process-wide budget from QPWAVE_BUDGET; work_budget restores it
     monkeypatch.setenv("QPWAVE_BUDGET", "10")
     code, _, err = run(
         capsys, "count", "--omega", "sqrt2", "--C", "64", "--interval", "0", "1"
     )
     assert code == 3
     assert "budget" in err.lower()
-    monkeypatch.delenv("QPWAVE_BUDGET")
-    import qpwave.budget
 
-    qpwave.budget.set_default_budget(qpwave.budget.DEFAULT_BUDGET)
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_budget_env_exits_2(capsys, monkeypatch, work_budget, value):
+    monkeypatch.setenv("QPWAVE_BUDGET", value)
+    before = get_default_budget()
+    code, out, err = run(capsys, "predict-exponent", "--p", "4", "--d", "1", "--b", "1")
+    assert code == 2
+    assert out == ""
+    assert f"bad QPWAVE_BUDGET={value!r}" in err
+    assert get_default_budget() == before
 
 
 def test_scan_band_failure_exits_4(capsys, tmp_path):

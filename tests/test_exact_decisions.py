@@ -252,10 +252,10 @@ def test_box_minimum_matches_oracle(name, H, block):
     best, relation = oracle_box_min(spec, i, H)
     if relation is not None:
         with pytest.raises(ResonantLatticeError) as info:
-            _dim_box_min(spec, i, H, None)
+            _dim_box_min(spec, i, H)
         assert info.value.relation == relation
         return
-    value, arg = _dim_box_min(spec, i, H, None)
+    value, arg = _dim_box_min(spec, i, H)
     assert value == float(best)
     assert abs(sum((c * w for c, w in zip(arg, spec.omega[i])), QScalar(0))) == best
 

@@ -126,9 +126,10 @@ def test_count_partition_additivity(sqrt2_spec):
     assert whole == parts
 
 
-def test_count_budget_error(sqrt2_spec):
+def test_count_budget_error(sqrt2_spec, work_budget):
+    work_budget(10)
     with pytest.raises(BudgetError):
-        count_in_interval(sqrt2_spec, 8, 0, 1, budget=10)
+        count_in_interval(sqrt2_spec, 8, 0, 1)
 
 
 def test_max_unit_interval_count_growth(sqrt2_spec, sqrt23_spec):

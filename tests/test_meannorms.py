@@ -17,6 +17,7 @@ from qpwave import (
     mixed_norm_free,
     predicted_exponent,
 )
+from qpwave import meannorms
 from qpwave.evolution import propagate
 from conftest import (
     float_twin,
@@ -117,7 +118,7 @@ def test_mean_value_numeric_matches_linspace_trapezoid(sqrt2_spec):
         assert abs(mean_value_numeric(f, L=L, points=points) - want) <= 1e-14 * mass
 
 
-def test_lp_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch):
+def test_lp_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch, work_budget):
     f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (0, 1): 0.5j})
     with pytest.raises(BudgetError, match="quadrature grid"):
         lp_norm_numeric(f, 4, L=1e15)  # ~4e15 samples: refused, not allocated
@@ -126,8 +127,44 @@ def test_lp_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch):
         raise AssertionError("sampled past the budget")
 
     monkeypatch.setattr(TrigPoly, "evaluate", no_sampling)
+    work_budget(100)
     with pytest.raises(BudgetError, match="quadrature grid"):
-        lp_norm_numeric(f, 4, L=100.0, budget=100)
+        lp_norm_numeric(f, 4, L=100.0)
+
+
+@pytest.mark.parametrize(
+    "p, per_period, match",
+    [
+        (0, 8, "positive even integer"),
+        (-2, 8, "positive even integer"),
+        (3, 8, "positive even integer"),
+        (4.0, 8, "positive even integer"),
+        (4, 0, "integer >= 2"),
+        (4, 1, "integer >= 2"),
+        (4, -3, "integer >= 2"),
+        (4, 8.0, "integer >= 2"),
+    ],
+)
+def test_lp_numeric_refuses_bad_order_or_resolution(
+    sqrt2_spec, monkeypatch, p, per_period, match
+):
+    # refused before the gap scan or any sampling, with or without a window
+    f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (0, 1): 0.5j})
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before validating its arguments")
+
+    monkeypatch.setattr(meannorms, "_tuple_sum_gap", no_work)
+    monkeypatch.setattr(TrigPoly, "evaluate", no_work)
+    for g, L in ((f, None), (f, 100.0), (TrigPoly.zero(sqrt2_spec), None)):
+        with pytest.raises(ValueError, match=match):
+            lp_norm_numeric(g, p, L=L, min_points_per_period=per_period)
+
+
+def test_lp_numeric_accepts_numpy_integers(sqrt2_spec):
+    f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (0, 1): 0.5j})
+    want = lp_norm_numeric(f, 4, L=50.0, min_points_per_period=2)
+    assert lp_norm_numeric(f, np.int64(4), L=50.0, min_points_per_period=np.int32(2)) == want
 
 
 @pytest.mark.parametrize("L", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])

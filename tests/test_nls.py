@@ -248,11 +248,12 @@ def test_solve_rank_two_height_24_at_default_budget(sqrt2_spec):
     assert abs(res.final.l2_norm() - 1.0) < 1e-8
 
 
-def test_solve_over_budget_grid_raises(sqrt2_spec):
+def test_solve_over_budget_grid_raises(sqrt2_spec, work_budget):
     u0 = TrigPoly.single(sqrt2_spec, (1, 1), 0.5)
     # the cubic grid at H=6 has side 6*6+2 = 38
+    work_budget(1_000)
     with pytest.raises(BudgetError, match=r"torus grid \(38\^2 points\)"):
-        solve(u0, SolverConfig(trunc_height=6, dt=1e-3, T=0.01), budget=1_000)
+        solve(u0, SolverConfig(trunc_height=6, dt=1e-3, T=0.01))
 
 
 def test_solve_rejects_escaping_data(sqrt2_spec):
@@ -354,14 +355,16 @@ def test_first_iterate_power_three_single_mode(sqrt2_spec):
 
 
 @pytest.mark.parametrize("power", [2, 3])
-def test_first_iterate_budget_counts_ordered_tuples(sqrt2_spec, power):
+def test_first_iterate_budget_counts_ordered_tuples(sqrt2_spec, power, work_budget):
     # the fold builds multiset rows, about half the ordered ones at power 2;
     # the budget still sees the ordered count M^(2 power - 1)
     f = random_poly(sqrt2_spec, 6, np.random.default_rng(60), box=3)
     work = len(f) ** (2 * power - 1)
+    work_budget(work - 1)
     with pytest.raises(BudgetError, match="Duhamel tuple sum"):
-        first_picard_iterate(f, 0.01, power=power, budget=work - 1)
-    assert first_picard_iterate(f, 0.01, power=power, budget=work).l2_norm() > 0
+        first_picard_iterate(f, 0.01, power=power)
+    work_budget(work)
+    assert first_picard_iterate(f, 0.01, power=power).l2_norm() > 0
 
 
 def test_picard_scan_flat_for_rank_one(int_spec):

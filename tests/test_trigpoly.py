@@ -147,11 +147,12 @@ def test_multiply_commutative_associative(sqrt2_spec):
         )
 
 
-def test_multiply_budget(sqrt2_spec):
+def test_multiply_budget(sqrt2_spec, work_budget):
     rng = np.random.default_rng(10)
     f = random_poly(sqrt2_spec, 40, rng)
+    work_budget(100)
     with pytest.raises(BudgetError):
-        multiply(f, f, budget=100)
+        multiply(f, f)
 
 
 def test_parseval(sqrt2_spec):

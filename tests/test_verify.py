@@ -175,13 +175,15 @@ def test_scan_report_files(tmp_path, sqrt2_spec):
     assert payload["config"]["lattice"] == sqrt2_spec.to_dict()
 
 
-def test_scan_config_records_the_budget_it_ran_under(sqrt2_spec):
+def test_scan_config_records_the_budget_it_ran_under(sqrt2_spec, work_budget):
     default = strichartz_scan(sqrt2_spec, [2, 4, 8], trials=0, seed=0)
-    rep = strichartz_scan(sqrt2_spec, [2, 4, 8], trials=0, seed=0, budget=123456789)
+    work_budget(123456789)
+    rep = strichartz_scan(sqrt2_spec, [2, 4, 8], trials=0, seed=0)
     assert rep.config["budget"] == 123456789
     assert rep.hash != default.hash
     assert rep.rows == default.rows
-    rep = picard_blowup_scan(sqrt2_spec, [2, 4, 8], budget=98765432)
+    work_budget(98765432)
+    rep = picard_blowup_scan(sqrt2_spec, [2, 4, 8])
     assert rep.config["budget"] == 98765432
 
 

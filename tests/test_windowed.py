@@ -166,7 +166,7 @@ def unit_datas(polys):
 
 @given(product_case(shapes=("f*2", "f*3", "f,f,g")))
 def test_multiset_weights_sum_to_ordered_count(polys):
-    idx, val, _, key = meannorms._fold_tuple_data(unit_datas(polys), None)
+    idx, val, _, key = meannorms._fold_tuple_data(unit_datas(polys))
     assert val.sum() == math.prod(len(f) for f in polys)
     if key is None:  # float mode merges nothing: one row per multiset
         k = sum(f is polys[0] for f in polys)  # [f] * k, then at most one other
@@ -183,13 +183,14 @@ def test_global_mean_matches_product_oracle(polys):
 
 
 @pytest.mark.parametrize("name", ["sqrt2", "float_rank2"])
-def test_tuple_enumeration_budget_counts_ordered_tuples(name):
+def test_tuple_enumeration_budget_counts_ordered_tuples(name, work_budget):
     # the multiset table is smaller than the budget, the ordered count is not
     f = box_poly(SPECS[name], 2, seed=6)
     m = len(f)
     for k in (2, 3):
         assert math.comb(m + k - 1, k) < m**k - 1
+        work_budget(m**k - 1)
         with pytest.raises(BudgetError, match="tuple enumeration"):
-            global_product_norm_sq([f] * k, SCHROD, budget=m**k - 1)
+            global_product_norm_sq([f] * k, SCHROD)
         with pytest.raises(BudgetError, match="tuple enumeration"):
-            windowed_product_norm_sq([f] * k, SCHROD, 1.0, budget=m**k - 1)
+            windowed_product_norm_sq([f] * k, SCHROD, 1.0)
