@@ -393,6 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # QPWAVE_BUDGET holds for this command only; an in-process caller keeps its own
+    saved = _budget.get_default_budget()
+    try:
+        return _main(argv)
+    finally:
+        _budget.set_default_budget(saved)
+
+
+def _main(argv) -> int:
     env_budget = os.environ.get("QPWAVE_BUDGET")
     if env_budget:
         try:

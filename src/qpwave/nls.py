@@ -16,10 +16,12 @@ initial data to the final TrigPoly; the four node states of a step are the
 rows of one (4, n) stage array, and the trace norms are read off the vector.
 A lattice mode sum restricts a trigonometric polynomial on the torus
 T^rank, so the nonlinearity is a pointwise product on a torus grid.  With
-2 k H + 2 points per axis for k factors of height <= H the product's support
-[-k H, k H] is not aliased (padding de-aliasing): the grid coefficients are
-the exact convolution sums, and Parseval's identity gives the part the
-truncation discards.  A grid larger than the work budget raises BudgetError.
+the smallest 5-smooth side >= 2 k H + 2 points per axis for k factors of
+height <= H the product's support [-k H, k H] is not aliased (padding
+de-aliasing): the grid coefficients are the exact convolution sums, and
+Parseval's identity gives the part the truncation discards.  The four node
+states of a sweep are transformed together, as the rows of one batched
+grid.  A grid larger than the work budget raises BudgetError.
 """
 
 from __future__ import annotations
@@ -172,6 +174,18 @@ def power_nonlinearity(
 # -- torus-grid Galerkin engine --------------------------------------------------------
 
 
+def _smooth_side(n: int) -> int:
+    """The smallest integer >= n with no prime factor above 5."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 class _TorusPlan:
     """State layout and right-hand side of the truncated flow on a torus grid.
 
@@ -183,7 +197,7 @@ class _TorusPlan:
     def __init__(self, spec, trunc_height, kind, symbol, power=2, sign=1):
         factors = 2 if kind == "derivative" else 2 * power - 1
         # a product of `factors` modes of height <= H lies in [-factors*H, factors*H]
-        side = 2 * factors * int(trunc_height) + 2
+        side = _smooth_side(2 * factors * int(trunc_height) + 2)
         _budget.check(side**spec.rank, what=f"torus grid ({side}^{spec.rank} points)")
         self.spec = spec
         self.basis = ball_indices(spec, trunc_height)
@@ -209,20 +223,34 @@ class _TorusPlan:
         nz = np.flatnonzero(np.abs(vec) > 0)
         return TrigPoly.from_arrays(self.spec, self.basis[nz], vec[nz], prune=True)
 
-    def rhs(self, vec: np.ndarray) -> tuple[np.ndarray, float]:
-        """(right-hand side on the ball, squared norm of the part outside it)."""
-        grid = np.zeros(self.shape, dtype=complex)
-        grid.flat[self.pos] = vec
-        u = np.fft.ifftn(grid, norm="forward")
-        if self.kind == "derivative":
-            w = u * u
-        else:
-            w = (u.real**2 + u.imag**2) ** (self.power - 1) * u
-        g = self.multiplier * np.fft.fftn(w, norm="forward")
-        out = g.flat[self.pos]
-        total = float((g.real**2 + g.imag**2).sum())
-        inside = float((out.real**2 + out.imag**2).sum())
-        return out, max(total - inside, 0.0)
+    def rhs(self, stages: np.ndarray) -> tuple[np.ndarray, float]:
+        """(right-hand sides on the ball of the (rows, n) stage array, largest
+        squared norm a row loses outside the ball).
+
+        The rows share one grid buffer and one transform each way, both in
+        place; the pointwise work runs row by row, so no temporary is larger
+        than one row's grid.
+        """
+        rows = len(stages)
+        flat = np.zeros((rows, math.prod(self.shape)), dtype=complex)
+        flat[:, self.pos] = stages
+        grid = flat.reshape((rows,) + self.shape)
+        axes = tuple(range(1, grid.ndim))
+        np.fft.ifftn(grid, axes=axes, norm="forward", out=grid)
+        for r in grid:
+            if self.kind == "derivative":
+                r *= r
+            else:
+                r *= (r.real**2 + r.imag**2) ** (self.power - 1)
+        np.fft.fftn(grid, axes=axes, norm="forward", out=grid)
+        grid *= self.multiplier
+        out = flat[:, self.pos]
+        loss = 0.0
+        for g, o in zip(grid, out):
+            total = float((g.real**2 + g.imag**2).sum())
+            inside = float((o.real**2 + o.imag**2).sum())
+            loss = max(loss, total - inside)
+        return out, loss
 
 
 # -- the collocation engine ------------------------------------------------------------
@@ -240,21 +268,21 @@ def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps):
     """One Gauss-collocation Picard step on coefficient vectors.
 
     Node states, node phases and right-hand sides are the rows of (4, n)
-    arrays.  rhs(vector) -> (duhamel right-hand side, squared norm lost to
-    truncation).  Returns (vector at step end, sweeps, last contraction
-    ratio, max rhs loss).
+    arrays.  rhs(stage array) -> (duhamel right-hand sides, one row per
+    stage; largest squared norm a row lost to truncation), called once per
+    sweep.  Returns (vector at step end, sweeps, last contraction ratio,
+    max rhs loss).
     """
     phase = np.exp(1j * np.outer(_NODES * dt, rates))
+    unphase = np.conj(phase)
     w = np.tile(u_vec, (4, 1))
     prev_diff = None
     ratio = math.nan
     max_loss = 0.0
     for sweep in range(1, max_sweeps + 1):
-        f = np.empty_like(w)
-        for q, v in enumerate(w * phase):
-            f[q], loss = rhs(v)
-            max_loss = max(max_loss, loss)
-        f *= np.conj(phase)
+        f, loss = rhs(w * phase)
+        f *= unphase
+        max_loss = max(max_loss, loss)
         w_new = u_vec + dt * _node_sum(_NODE_INTEGRALS, f)
         diff = float(np.linalg.norm(w_new - w, axis=1).max())
         if not math.isfinite(diff):

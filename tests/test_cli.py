@@ -77,6 +77,15 @@ def test_budget_exits_3(capsys, monkeypatch, work_budget):
     assert "budget" in err.lower()
 
 
+def test_budget_env_holds_for_one_command(capsys, monkeypatch):
+    # no work_budget fixture: main() itself must put the prior budget back
+    monkeypatch.setenv("QPWAVE_BUDGET", "10")
+    before = get_default_budget()
+    code, _, _ = run(capsys, "count", "--omega", "sqrt2", "--C", "64", "--interval", "0", "1")
+    assert code == 3
+    assert get_default_budget() == before
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_bad_budget_env_exits_2(capsys, monkeypatch, work_budget, value):
     monkeypatch.setenv("QPWAVE_BUDGET", value)

@@ -24,7 +24,14 @@ from qpwave import (
     sobolev_norm,
     solve,
 )
-from qpwave.nls import _END_WEIGHTS, _NODE_INTEGRALS, _NODES, _TorusPlan, _step_vectors
+from qpwave.nls import (
+    _END_WEIGHTS,
+    _NODE_INTEGRALS,
+    _NODES,
+    _smooth_side,
+    _TorusPlan,
+    _step_vectors,
+)
 from qpwave.trigpoly import project_ball
 from qpwave.verify import _scan_family
 from conftest import oracle_first_picard_iterate, random_poly
@@ -180,6 +187,9 @@ def test_torus_plan_matches_multiply_oracle(sqrt2_spec, sqrt23_spec):
         (sqrt2_spec, "cubic", 2, 1, 6),
         (sqrt2_spec, "cubic", 3, -1, 3),
         (sqrt2_spec, "derivative", 2, 1, 6),
+        # the solve benchmark's grids: sides 86 -> 90 and 52 -> 54
+        (sqrt2_spec, "cubic", 2, 1, 14),
+        (sqrt2_spec, "cubic", 3, 1, 5),
         (sqrt23_spec, "cubic", 2, -1, 3),
         (sqrt23_spec, "cubic", 3, 1, 2),
         (sqrt23_spec, "derivative", 2, 1, 3),
@@ -197,11 +207,54 @@ def test_torus_plan_matches_multiply_oracle(sqrt2_spec, sqrt23_spec):
         full = kdv_rhs(u) if deriv else -1j * power_nonlinearity(u, power, sign)
         kept = project_ball(full, H)
         want = np.array([kept.coeff(n) for n in plan.basis.tolist()])
-        got, loss = plan.rhs(plan.load(u))
+        (got,), loss = plan.rhs(plan.load(u)[None])
         assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(want)
         want_loss = full.l2_norm() ** 2 - kept.l2_norm() ** 2
         assert want_loss > 0
         assert abs(loss - want_loss) <= 1e-12 * full.l2_norm() ** 2
+
+
+def test_smooth_side_is_the_next_5_smooth_integer():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    @hypothesis.given(hypothesis.strategies.integers(1, 10_000))
+    def check(n):
+        side = _smooth_side(n)
+        assert side >= n and smooth(side)
+        assert not any(smooth(m) for m in range(n, side))
+
+    check()
+
+
+def test_batched_rhs_matches_single_rows(sqrt2_spec):
+    # each row of a batched right-hand side is bit-for-bit the one-row call
+    d2_spec = LatticeSpec([[1.0, math.sqrt(2.0)], [math.sqrt(3.0)]])
+    cases = [
+        (sqrt2_spec, "cubic", 2, 1, 6),
+        (sqrt2_spec, "cubic", 3, -1, 3),
+        (sqrt2_spec, "derivative", 2, 1, 6),
+        (d2_spec, "cubic", 2, 1, 3),
+    ]
+    rng = np.random.default_rng(64)
+    for spec, kind, power, sign, H in cases:
+        deriv = kind == "derivative"
+        symbol = DispersionSymbol.airy() if deriv else DispersionSymbol.schrodinger()
+        plan = _TorusPlan(spec, H, kind, symbol, power, sign)
+        shape = (4, len(plan.basis))
+        S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got, loss = plan.rhs(S)
+        losses = []
+        for q in range(4):
+            (row,), row_loss = plan.rhs(S[q : q + 1])
+            assert got[q].tobytes() == row.tobytes()
+            losses.append(row_loss)
+        assert loss == max(losses)
 
 
 def _reference_step(u_vec, dt, rates, rhs, tol, max_sweeps):
@@ -210,7 +263,7 @@ def _reference_step(u_vec, dt, rates, rhs, tol, max_sweeps):
     phase = [np.exp(1j * tau * rates) for tau in _NODES * dt]
     w = [u_vec] * 4
     for sweep in range(1, max_sweeps + 1):
-        f = [rhs(w[q] * phase[q])[0] * np.conj(phase[q]) for q in range(4)]
+        f = [rhs((w[q] * phase[q])[None])[0][0] * np.conj(phase[q]) for q in range(4)]
         new = [
             u_vec + dt * (A[q, 0] * f[0] + A[q, 1] * f[1] + A[q, 2] * f[2] + A[q, 3] * f[3])
             for q in range(4)
@@ -250,9 +303,9 @@ def test_solve_rank_two_height_24_at_default_budget(sqrt2_spec):
 
 def test_solve_over_budget_grid_raises(sqrt2_spec, work_budget):
     u0 = TrigPoly.single(sqrt2_spec, (1, 1), 0.5)
-    # the cubic grid at H=6 has side 6*6+2 = 38
+    # the cubic grid at H=6 needs side >= 6*6+2 = 38; the next 5-smooth side is 40
     work_budget(1_000)
-    with pytest.raises(BudgetError, match=r"torus grid \(38\^2 points\)"):
+    with pytest.raises(BudgetError, match=r"torus grid \(40\^2 points\)"):
         solve(u0, SolverConfig(trunc_height=6, dt=1e-3, T=0.01))
 
 
