@@ -2,9 +2,10 @@
 phi1(theta) = (e^{i theta} - 1)/(i theta) of a real phase theta: the mean of
 e^{i r s} over s in [0, T] at theta = r T, evaluated in real arithmetic.
 
-All reductions here are deterministic: rows are ordered by a stable argsort
-of packed int64 keys (lexicographic row order) before ``reduceat``, so results
-do not depend on input order.
+All reductions here are deterministic: rows are ordered by a stable sort of
+row-tagged keys (``stable_order``: packed int64 keys, lexicographic row
+order, each tagged with its row number) before ``reduceat``, so results do
+not depend on input order.
 """
 
 from __future__ import annotations
@@ -42,6 +43,30 @@ def pack_rows(idx: np.ndarray) -> np.ndarray:
     return inv.astype(np.int64)
 
 
+def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, sorted keys) of non-negative int64 keys: the stable argsort and
+    keys[order], by one plain sort of row-tagged keys.
+
+    Each key is shifted left by b = bit_length(n - 1) bits and its row number
+    ORed into the freed bits, so all tagged keys are distinct and any sort
+    returns them in the stable order; the low bits are the order and the high
+    bits the sorted keys.  Keys too wide for the tag (key bits + b > 63) are
+    first replaced by their dense rank.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    n = len(keys)
+    b = max(n - 1, 0).bit_length()
+    uniq = None
+    if n and int(keys.max()).bit_length() + b > 63:
+        uniq, keys = np.unique(keys, return_inverse=True)
+    tagged = keys << b
+    tagged |= np.arange(n)
+    tagged.sort()
+    order = tagged & ((1 << b) - 1)
+    tagged >>= b
+    return order, tagged if uniq is None else uniq[tagged]
+
+
 def group_boundaries(sorted_keys: np.ndarray) -> np.ndarray:
     """Start offsets of equal-key runs in an already sorted key array; the rows
     of a 2-d array compare whole."""
@@ -67,12 +92,9 @@ def group_sum(idx: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     keys = pack_rows(idx)
     if (keys[1:] > keys[:-1]).all():  # already sorted and unique: every group is one row
         return idx, np.asarray(values)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    idx = idx[order]
-    values = np.asarray(values)[order]
+    order, keys = stable_order(keys)
     cuts = group_boundaries(keys)
-    return idx[cuts], np.add.reduceat(values, cuts)
+    return idx[order[cuts]], np.add.reduceat(np.asarray(values)[order], cuts)
 
 
 def surd_sign(a, b, D: int) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 from . import budget as _budget
 from .errors import NonContractionError
 from .evolution import DispersionSymbol
-from .kernels import group_sum, phi1
+from .kernels import group_boundaries, phi1, stable_order
 from .lattice import ball_indices
 from .meannorms import _fold_tuple_data, evolved_factor_data
 from .trigpoly import TrigPoly, multiply, project_ball
@@ -229,7 +229,9 @@ class _TorusPlan:
 
         The rows share one grid buffer and one transform each way, both in
         place; the pointwise work runs row by row, so no temporary is larger
-        than one row's grid.
+        than one row's grid.  The loss is summed over the grid points outside
+        the ball (the ball's points are zeroed once gathered), not taken as a
+        difference of two nearly equal totals.
         """
         rows = len(stages)
         flat = np.zeros((rows, math.prod(self.shape)), dtype=complex)
@@ -245,11 +247,8 @@ class _TorusPlan:
         np.fft.fftn(grid, axes=axes, norm="forward", out=grid)
         grid *= self.multiplier
         out = flat[:, self.pos]
-        loss = 0.0
-        for g, o in zip(grid, out):
-            total = float((g.real**2 + g.imag**2).sum())
-            inside = float((o.real**2 + o.imag**2).sum())
-            loss = max(loss, total - inside)
+        flat[:, self.pos] = 0  # what is left lies outside the ball
+        loss = max(float(np.vdot(g, g).real) for g in flat)
         return out, loss
 
 
@@ -370,9 +369,16 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     plain factors stand side by side, so the tuple fold enumerates their
     multisets once each with its multinomial weight (about half the rows at
     power 2); the last conjugated factor is paired with the folded rows in
-    chunks of about 2M elements.  The work budget is checked on the ordered
-    count len(f)^(2 power - 1).  The outer free factor (unit modulus) and the
-    -i Duhamel prefactor are omitted; every norm of the result is unaffected.
+    chunks of about 2M elements.  An output index is keyed by its
+    mixed-radix code over the range of the output sums, which is linear in
+    the summands (folded row code plus last-factor code), so no output index
+    rows are built: each chunk is grouped by one stable sort of row-tagged
+    keys (``kernels.stable_order``), the output rates are evaluated once per
+    distinct output, and the sums of several chunks add up in
+    ``TrigPoly.from_arrays``.  A code range beyond int64 raises ValueError.
+    The work budget is checked on the ordered count len(f)^(2 power - 1).
+    The outer free factor (unit modulus) and the -i Duhamel prefactor are
+    omitted; every norm of the result is unaffected.
     """
     if t == 0 or not f:
         return TrigPoly.zero(f.spec)
@@ -384,22 +390,39 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     base_idx, base_val, base_rate, _ = _fold_tuple_data(datas)
     last_idx, last_val, last_rate, _ = conj
 
+    # mixed-radix code of an output index, most significant column first
     spec = f.spec
+    base_lo, last_lo = base_idx.min(axis=0), last_idx.min(axis=0)
+    lo = base_lo + last_lo
+    radix = (base_idx.max(axis=0) + last_idx.max(axis=0) - lo + 1).tolist()
+    strides = [math.prod(radix[j + 1 :]) for j in range(spec.rank)]
+    if strides[0] * radix[0] > np.iinfo(np.int64).max:
+        raise ValueError("Picard output indices exceed the int64 key range")
+    strides = np.array(strides, dtype=np.int64)
+    base_key = (base_idx - base_lo) @ strides
+    last_key = (last_idx - last_lo) @ strides
+
     chunk = max(1, int(2_000_000 / max(len(last_val), 1)))
     parts_idx, parts_val = [], []
     for k in range(0, len(base_val), chunk):
-        bi = base_idx[k : k + chunk]
-        bv = base_val[k : k + chunk]
-        br = base_rate[k : k + chunk]
-        out_idx = (bi[:, None, :] + last_idx[None, :, :]).reshape(-1, spec.rank)
-        rate_sum = (br[:, None] + last_rate[None, :]).ravel()
-        vals = (bv[:, None] * last_val[None, :]).ravel()
-        mism = rate_sum - symbol.rates_for_indices(spec, out_idx)
-        contrib = vals * (t * phi1(t * mism))
-        gi, gv = group_sum(out_idx, contrib)
-        parts_idx.append(gi)
-        parts_val.append(gv)
-    all_idx = np.concatenate(parts_idx, axis=0)
-    all_val = np.concatenate(parts_val)
-    gi, gv = group_sum(all_idx, all_val)
-    return TrigPoly.from_arrays(spec, gi, gv, prune=True)
+        sl = slice(k, k + chunk)
+        order, keys = stable_order(np.add.outer(base_key[sl], last_key).ravel())
+        cuts = group_boundaries(keys)
+        out_idx = keys[cuts, None] // strides % radix + lo
+        sizes = np.diff(np.r_[cuts, len(keys)])
+        del keys  # the sorted keys are spent: free them before phi1 runs
+        # rows gathered into key order, then worked on in place; the operands
+        # keep the order of t * phi1(t * mismatch) and values * that
+        theta = np.add.outer(base_rate[sl], last_rate).ravel()[order]
+        theta -= np.repeat(symbol.rates_for_indices(spec, out_idx), sizes)
+        theta *= t
+        contrib = phi1(theta)
+        np.multiply(t, contrib, out=contrib)
+        vals = np.multiply.outer(base_val[sl], last_val).ravel()[order]
+        np.multiply(vals, contrib, out=contrib)
+        parts_idx.append(out_idx)
+        parts_val.append(np.add.reduceat(contrib, cuts))
+    # the chunks' sums of one output index add up in from_arrays
+    return TrigPoly.from_arrays(
+        spec, np.concatenate(parts_idx), np.concatenate(parts_val), prune=True
+    )

@@ -1,10 +1,11 @@
 """The phi1 kernel: (e^{i theta} - 1)/(i theta) for real theta, against a
-50-digit reference, and its refusal of complex arguments."""
+50-digit reference, and its refusal of complex arguments; the stable sort of
+row-tagged keys against numpy's stable argsort."""
 
 import numpy as np
 import pytest
 
-from qpwave.kernels import phi1
+from qpwave.kernels import phi1, stable_order
 
 EPS = np.finfo(float).eps
 
@@ -45,3 +46,26 @@ def test_phi1_matches_mpmath():
 def test_phi1_refuses_complex_arguments(z):
     with pytest.raises(TypeError):
         phi1(z)
+
+
+def test_stable_order_matches_stable_argsort():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # few distinct values give ties; keys near 2^62 leave no room for the row
+    # tag and take the dense-rank path
+    key = st.one_of(st.integers(0, 3), st.integers(0, 2**40), st.integers(2**61, 2**62))
+
+    @hypothesis.given(st.lists(key, max_size=200))
+    @hypothesis.example([])
+    @hypothesis.example([5])
+    @hypothesis.example([2**62])
+    @hypothesis.example([2**62, 0, 2**62, 1])
+    def check(keys):
+        keys = np.array(keys, dtype=np.int64)
+        order, sorted_keys = stable_order(keys)
+        want = np.argsort(keys, kind="stable")
+        assert order.dtype == sorted_keys.dtype == np.int64
+        assert np.array_equal(order, want)
+        assert np.array_equal(sorted_keys, keys[want])
+
+    check()

@@ -214,6 +214,27 @@ def test_torus_plan_matches_multiply_oracle(sqrt2_spec, sqrt23_spec):
         assert abs(loss - want_loss) <= 1e-12 * full.l2_norm() ** 2
 
 
+def test_truncation_loss_is_exact_when_small(sqrt2_spec):
+    # 22 modes of height <= 3 and 3 faint modes near the edge of the H = 32
+    # ball: the cubic term loses about 5e-8 of its squared norm outside the
+    # ball, which a difference of the two totals would resolve only to ~1e-9
+    H = 32
+    plan = _TorusPlan(sqrt2_spec, H, "cubic", DispersionSymbol.schrodinger())
+    h = np.sqrt((plan.basis * plan.basis).sum(axis=1))
+    rng = np.random.default_rng(32)
+    inner = rng.choice(np.flatnonzero(h <= 3), 22, replace=False)
+    edge = rng.choice(np.flatnonzero(h > 30), 3, replace=False)
+    amp = np.r_[np.ones(22), np.full(3, 1e-3)]
+    vals = amp * (rng.standard_normal(25) + 1j * rng.standard_normal(25))
+    u = TrigPoly.from_arrays(sqrt2_spec, plan.basis[np.r_[inner, edge]], vals)
+    _, loss = plan.rhs(plan.load(u)[None])
+    idx, c = power_nonlinearity(u, 2).as_arrays()
+    outside = (idx * idx).sum(axis=1) > H * H
+    want = float((np.abs(c[outside]) ** 2).sum())
+    assert 0 < want < 1e-6 * power_nonlinearity(u, 2).l2_norm() ** 2
+    assert abs(loss - want) <= 1e-10 * want
+
+
 def test_smooth_side_is_the_next_5_smooth_integer():
     hypothesis = pytest.importorskip("hypothesis")
 

@@ -7,18 +7,22 @@ pairs the folded rows with the last conjugated factor in chunks; the oracle
 Gauss-Legendre quadrature.  Each coefficient must agree to 1e-12 of t times
 the sum of |coefficient products| of its tuples, and the supports must agree
 apart from coefficients that the oracle itself puts within that bound of 0.
+A second, vectorized ordered-tuple reference covers data large enough for
+the chunk loop to run more than once.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from qpwave import LatticeSpec, QScalar, TrigPoly
+from qpwave import DispersionSymbol, LatticeSpec, QScalar, TrigPoly
+from qpwave.meannorms import _fold_tuple_data, evolved_factor_data
 from qpwave.nls import first_picard_iterate
-from conftest import oracle_first_picard_iterate
+from conftest import oracle_first_picard_iterate, oracle_phi1
 
 R = QScalar.rational
 FAMILIES = {
@@ -53,3 +57,61 @@ def test_first_iterate_matches_ordered_tuple_oracle(case):
     assert kept <= set(it.support) <= set(oracle)
     for n, (v, scale) in oracle.items():
         assert abs(it.coeff(n) - v) <= TOL * scale
+
+
+def ordered_triple_reference(f: TrigPoly, t: float):
+    """Cubic first iterate by every ordered (plain, plain, conjugated) triple,
+    one first factor at a time, d = 1: the time integral t (e^z - 1)/z at
+    z = i t mismatch by ``oracle_phi1``, accumulated by ``np.add.at`` into a
+    dense box of output indices (no sort, no grouping).  Returns (box origin,
+    coefficients, t * sum of |coefficient products|) over the box."""
+    spec = f.spec
+    idx, vals = f.as_arrays()
+    rho = -spec.freq_float(idx) ** 2
+    lo, hi = idx.min(axis=0), idx.max(axis=0)
+    origin, shape = 2 * lo - hi, tuple(3 * (hi - lo) + 1)
+    acc = np.zeros(math.prod(shape), dtype=complex)
+    scale = np.zeros(math.prod(shape))
+    second = idx[:, None, :] - idx[None, :, :]  # plain b, conjugated c
+    for a in range(len(idx)):
+        out = (idx[a] + second).reshape(-1, spec.rank)
+        lam = spec.freq_float(out)
+        mism = (rho[a] + rho[:, None] - rho[None, :]).ravel() + lam * lam
+        prod = (vals[a] * np.multiply.outer(vals, vals.conj())).ravel()
+        cell = np.ravel_multi_index(tuple((out - origin).T), shape)
+        np.add.at(acc, cell, prod * t * oracle_phi1(1j * t * mism))
+        np.add.at(scale, cell, t * np.abs(prod))
+    return origin, acc.reshape(shape), scale.reshape(shape)
+
+
+def test_first_iterate_over_several_chunks():
+    # 170 rank-2 modes fold into more base rows than one chunk of about 2M
+    # elements holds, so the sums of several chunks meet in one coefficient
+    spec = SPECS["sqrt2"]
+    rng = np.random.default_rng(170)
+    box = np.stack(np.meshgrid(*[np.arange(-8, 9)] * spec.rank), -1).reshape(-1, spec.rank)
+    idx = box[rng.choice(len(box), 170, replace=False)]
+    vals = rng.standard_normal(170) + 1j * rng.standard_normal(170)
+    f = TrigPoly.from_arrays(spec, idx, vals)
+    plain = evolved_factor_data(f, DispersionSymbol.schrodinger())
+    base_rows = len(_fold_tuple_data([plain, plain])[1])
+    assert base_rows > 2_000_000 / len(f)
+    t = 0.02
+    it = first_picard_iterate(f, t)
+    origin, want, scale = ordered_triple_reference(f, t)
+    got = np.zeros_like(want)
+    got_idx, got_vals = it.as_arrays()
+    assert ((got_idx >= origin) & (got_idx - origin < want.shape)).all()
+    got[tuple((got_idx - origin).T)] = got_vals
+    reached = scale > 0
+    assert not (got != 0)[~reached].any()
+    assert (got != 0)[np.abs(want) > TOL * scale].all()
+    assert (np.abs(got - want) <= TOL * scale).all()
+
+
+def test_first_iterate_refuses_output_codes_beyond_int64():
+    # three index columns spanning about 3 * 2^22 each need over 63 bits of code
+    spec = SPECS["float_rank3"]
+    f = TrigPoly(spec, {(2**21,) * 3: 1.0, (-(2**21),) * 3: 1.0})
+    with pytest.raises(ValueError, match="int64 key range"):
+        first_picard_iterate(f, 0.01)
