@@ -115,15 +115,22 @@ def phi1(theta: np.ndarray | float) -> np.ndarray | complex:
 
     Evaluated as e^{i h} sin(h)/h with h = theta/2, in real arithmetic: no
     difference of nearly equal terms anywhere, so no small-argument branch.
-    A complex argument raises TypeError (the phase is real).
+    sin(h) and cos(h) are written into the result's imaginary and real parts
+    and h is overwritten by sin(h)/h, so beside the result only h and a
+    boolean mask are allocated.  A complex argument raises TypeError (the
+    phase is real).
     """
     if np.iscomplexobj(theta):
         raise TypeError("phi1 takes the real phase theta, not a complex argument")
     scalar = np.isscalar(theta)
-    h = np.asarray(theta, dtype=float) / 2
-    sin = np.sin(h)
-    sinc = np.divide(sin, h, out=np.ones_like(h), where=h != 0)
+    h = np.divide(theta, 2, out=np.empty(np.shape(theta)), dtype=float)
     out = np.empty(h.shape, dtype=complex)
-    out.real = np.cos(h) * sinc
-    out.imag = sin * sinc
+    np.sin(h, out=out.imag)
+    np.cos(h, out=out.real)
+    zero = h == 0
+    with np.errstate(invalid="ignore"):
+        sinc = np.divide(out.imag, h, out=h)
+    sinc[zero] = 1.0
+    out.real *= sinc
+    out.imag *= sinc
     return complex(out[()]) if scalar else out

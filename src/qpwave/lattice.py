@@ -167,9 +167,21 @@ class LatticeSpec:
         return self.freq(n)[0]
 
     def freq_float(self, idx: np.ndarray) -> np.ndarray:
-        """Float frequencies for an (M, rank) index array; (M,) when d = 1."""
+        """Float frequencies for an (M, rank) index array; (M,) when d = 1.
+
+        Each component is summed column by column in generator order,
+        idx[:, 0] * w0 + idx[:, 1] * w1 + ..., so a row's value does not
+        depend on the rows batched with it (a BLAS dot product may round a
+        row differently by its place in the array).
+        """
         idx = np.asarray(idx, dtype=np.int64)
-        cols = [idx[:, self.block(i)] @ self._float_omega[i] for i in range(self.d)]
+        cols = []
+        for i in range(self.d):
+            sub, w = idx[:, self.block(i)], self._float_omega[i]
+            acc = sub[:, 0] * w[0]
+            for j in range(1, len(w)):
+                acc += sub[:, j] * w[j]
+            cols.append(acc)
         return cols[0] if self.d == 1 else np.stack(cols, axis=1)
 
     def exact_coords(self, sub: np.ndarray, i: int = 0) -> tuple[np.ndarray, np.ndarray]:

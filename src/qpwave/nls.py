@@ -9,7 +9,11 @@ Runge-Kutta step: order 8 at the step ends and exactly conservative on
 quadratic invariants, so the measured mass drift reflects the Picard
 tolerance rather than the step size.  The contraction ratio of the sweeps is
 monitored; failure to contract signals a step size or data size too large
-for the fixed point to exist.
+for the fixed point to exist.  A step of the same size as the one before
+starts its sweeps from that step's converged collocation polynomial,
+continued to the new nodes 1 + c_q (the standard starting guess of implicit
+Runge-Kutta iterations); the first step, and a remainder step of another
+size, start from the constant guess u at the step start.
 
 The state is one coefficient vector over the truncation ball from the
 initial data to the final TrigPoly; the four node states of a step are the
@@ -21,7 +25,9 @@ height <= H the product's support [-k H, k H] is not aliased (padding
 de-aliasing): the grid coefficients are the exact convolution sums, and
 Parseval's identity gives the part the truncation discards.  The four node
 states of a sweep are transformed together, as the rows of one batched
-grid.  A grid larger than the work budget raises BudgetError.
+grid.  The KdV term is defined on real fields only: its grid holds the half
+spectrum and runs real transforms (irfftn, rfftn).  A grid larger than the
+work budget raises BudgetError.
 """
 
 from __future__ import annotations
@@ -58,16 +64,21 @@ _X, _W = np.polynomial.legendre.leggauss(4)
 _NODES = (_X + 1.0) / 2.0
 _END_WEIGHTS = _W / 2.0
 _LAGRANGE = np.linalg.inv(np.vander(_NODES, 4, increasing=True))
-# _NODE_INTEGRALS[q, j] = integral over [0, node_q] of the j-th Lagrange basis
-_NODE_INTEGRALS = np.array(
-    [
+
+
+def _basis_integrals(ends):
+    """[q, j] = integral over [0, ends[q]] of the j-th Lagrange basis."""
+    return np.array(
         [
-            sum(_LAGRANGE[k, j] * _NODES[q] ** (k + 1) / (k + 1) for k in range(4))
-            for j in range(4)
+            [sum(_LAGRANGE[k, j] * e ** (k + 1) / (k + 1) for k in range(4)) for j in range(4)]
+            for e in ends
         ]
-        for q in range(4)
-    ]
-)
+    )
+
+
+_NODE_INTEGRALS = _basis_integrals(_NODES)
+# the step's collocation polynomial continued to the next step's nodes 1 + node_q
+_NEXT_INTEGRALS = _basis_integrals(1.0 + _NODES)
 
 
 @dataclass(frozen=True)
@@ -190,8 +201,14 @@ class _TorusPlan:
     """State layout and right-hand side of the truncated flow on a torus grid.
 
     Ball coefficients sit at ``basis % side``.  Kind "cubic" gives
-    -i sign |u|^(2(power-1)) u; "derivative" gives the KdV term (u^2/2)_x,
-    with the multiplier i freq/2 taken at the grid's wrapped indices.
+    -i sign |u|^(2(power-1)) u on the full complex grid.  Kind "derivative"
+    gives the KdV term (u^2/2)_x and is defined on real fields only: its
+    stage rows must be Hermitian (kdv_solve requires a real field through
+    require_real_field, and the odd Airy rate keeps the stages Hermitian).
+    It runs on the half spectrum, last axis 0..side//2: irfftn, a real
+    square, rfftn, and the multiplier i freq/2 at the half grid's wrapped
+    indices.  A ball index with a negative last component is read as the
+    conjugate of its mirror -n.
     """
 
     def __init__(self, spec, trunc_height, kind, symbol, power=2, sign=1):
@@ -207,9 +224,13 @@ class _TorusPlan:
         self.kind = kind
         self.power = power
         if kind == "derivative":
-            grid = np.indices(self.shape).reshape(spec.rank, -1).T
+            self.half_shape = self.shape[:-1] + (side // 2 + 1,)
+            self.neg = self.basis[:, -1] < 0
+            mirror = np.where(self.neg[:, None], -self.basis, self.basis)
+            self.half_pos = np.ravel_multi_index(tuple((mirror % side).T), self.half_shape)
+            grid = np.indices(self.half_shape).reshape(spec.rank, -1).T
             wrapped = (grid + side // 2) % side - side // 2
-            self.multiplier = 0.5j * spec.freq_float(wrapped).reshape(self.shape)
+            self.multiplier = 0.5j * spec.freq_float(wrapped).reshape(self.half_shape)
         else:
             self.multiplier = -1j * sign
 
@@ -227,12 +248,15 @@ class _TorusPlan:
         """(right-hand sides on the ball of the (rows, n) stage array, largest
         squared norm a row loses outside the ball).
 
-        The rows share one grid buffer and one transform each way, both in
-        place; the pointwise work runs row by row, so no temporary is larger
-        than one row's grid.  The loss is summed over the grid points outside
-        the ball (the ball's points are zeroed once gathered), not taken as a
-        difference of two nearly equal totals.
+        The rows share one grid buffer and one transform each way.  The loss
+        is summed over the grid points outside the ball (the ball's points
+        are zeroed once gathered), not taken as a difference of two nearly
+        equal totals.
         """
+        if self.kind == "derivative":
+            return self._half_rhs(stages)
+        # in place: the pointwise work runs row by row, so no temporary is
+        # larger than one row's grid
         rows = len(stages)
         flat = np.zeros((rows, math.prod(self.shape)), dtype=complex)
         flat[:, self.pos] = stages
@@ -240,15 +264,36 @@ class _TorusPlan:
         axes = tuple(range(1, grid.ndim))
         np.fft.ifftn(grid, axes=axes, norm="forward", out=grid)
         for r in grid:
-            if self.kind == "derivative":
-                r *= r
-            else:
-                r *= (r.real**2 + r.imag**2) ** (self.power - 1)
+            r *= (r.real**2 + r.imag**2) ** (self.power - 1)
         np.fft.fftn(grid, axes=axes, norm="forward", out=grid)
-        grid *= self.multiplier
-        out = flat[:, self.pos]
+        # the multiplier -i sign has modulus 1: only the kept values need it
+        out = flat[:, self.pos] * self.multiplier
         flat[:, self.pos] = 0  # what is left lies outside the ball
         loss = max(float(np.vdot(g, g).real) for g in flat)
+        return out, loss
+
+    def _half_rhs(self, stages):
+        """rhs of the "derivative" kind on the half spectrum of real rows."""
+        rows = len(stages)
+        flat = np.zeros((rows, math.prod(self.half_shape)), dtype=complex)
+        keep = ~self.neg
+        flat[:, self.half_pos[keep]] = stages[:, keep]
+        grid = flat.reshape((rows,) + self.half_shape)
+        axes = tuple(range(1, grid.ndim))
+        real = np.fft.irfftn(grid, s=self.shape, axes=axes, norm="forward")
+        real *= real
+        np.fft.rfftn(real, axes=axes, norm="forward", out=grid)
+        grid *= self.multiplier
+        out = flat[:, self.half_pos]
+        out.imag[:, self.neg] *= -1  # conjugates of the mirrors
+        flat[:, self.half_pos] = 0  # what is left lies outside the ball
+        # a column and its mirror column hold conjugate values: weight 2 on the
+        # interior columns, 1 on column 0 and on the Nyquist column of an even side
+        self_mirrored = [0] if self.shape[-1] % 2 else [0, -1]
+        loss = 0.0
+        for g in grid:
+            edge = g[..., self_mirrored]
+            loss = max(loss, 2 * float(np.vdot(g, g).real) - float(np.vdot(edge, edge).real))
         return out, loss
 
 
@@ -263,18 +308,22 @@ def _node_sum(weights, rows):
     return acc
 
 
-def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps):
+def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps, guess=None):
     """One Gauss-collocation Picard step on coefficient vectors.
 
     Node states, node phases and right-hand sides are the rows of (4, n)
     arrays.  rhs(stage array) -> (duhamel right-hand sides, one row per
     stage; largest squared norm a row lost to truncation), called once per
-    sweep.  Returns (vector at step end, sweeps, last contraction ratio,
-    max rhs loss).
+    sweep.  The sweeps start from ``guess`` (node states in this step's
+    interaction picture), or from the constant u_vec when it is None.
+    Returns (vector at step end, sweeps, last contraction ratio, max rhs
+    loss, starting guess for a next step of the same size): the guess is the
+    converged collocation polynomial continued to the nodes 1 + node_q and
+    moved into the next step's interaction picture.
     """
     phase = np.exp(1j * np.outer(_NODES * dt, rates))
     unphase = np.conj(phase)
-    w = np.tile(u_vec, (4, 1))
+    w = np.tile(u_vec, (4, 1)) if guess is None else guess
     prev_diff = None
     ratio = math.nan
     max_loss = 0.0
@@ -298,8 +347,10 @@ def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps):
             f"(last contraction ratio {ratio:.3g}); reduce dt or the data size",
             ratio=ratio,
         )
+    step_phase = np.exp(1j * dt * rates)
     w_end = u_vec + dt * _node_sum(_END_WEIGHTS, f)
-    return w_end * np.exp(1j * dt * rates), sweep, ratio, max_loss
+    w_next = u_vec + dt * _node_sum(_NEXT_INTEGRALS, f)
+    return w_end * step_phase, sweep, ratio, max_loss, w_next * step_phase
 
 
 def _split_steps(T, dt):
@@ -326,10 +377,19 @@ def _run_solver(u0, cfg, symbol, rhs_kind):
     t = 0.0
     warned = False
     cumulative_loss = 0.0
+    prev_h = guess = None
     for h in _split_steps(cfg.T, cfg.dt):
-        state, sweeps, ratio, loss = _step_vectors(
-            state, h, plan.rates, plan.rhs, cfg.picard_tol, cfg.max_picard
+        # a step of a new size (the first, a remainder) starts from the constant guess
+        state, sweeps, ratio, loss, guess = _step_vectors(
+            state,
+            h,
+            plan.rates,
+            plan.rhs,
+            cfg.picard_tol,
+            cfg.max_picard,
+            guess if h == prev_h else None,
         )
+        prev_h = h
         mass = float(np.linalg.norm(state)) ** 2
         t += h
         step_loss = h * h * loss

@@ -1,5 +1,6 @@
 """The phi1 kernel: (e^{i theta} - 1)/(i theta) for real theta, against a
-50-digit reference, and its refusal of complex arguments; the stable sort of
+50-digit reference, bitwise against the formula with separate temporaries,
+its peak memory and its refusal of complex arguments; the stable sort of
 row-tagged keys against numpy's stable argsort."""
 
 import numpy as np
@@ -40,6 +41,52 @@ def test_phi1_matches_mpmath():
     value = phi1(0.5)
     assert type(value) is complex
     assert value == phi1(np.array([0.5]))[0]
+
+
+def _phi1_with_temporaries(theta):
+    """The phi1 formula with every intermediate a separate array."""
+    scalar = np.isscalar(theta)
+    h = np.asarray(theta, dtype=float) / 2
+    sin = np.sin(h)
+    sinc = np.divide(sin, h, out=np.ones_like(h), where=h != 0)
+    out = np.empty(h.shape, dtype=complex)
+    out.real = np.cos(h) * sinc
+    out.imag = sin * sinc
+    return complex(out[()]) if scalar else out
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        phi1_arguments(),
+        np.array([0.0, -0.0, 5e-324, 1e-300, 1e-20, 1e15, 1e300, -1.7e308]),
+        0.0,
+        5e-324,
+        1e300,
+        -3.25,
+        7,
+        np.array(0.5),
+    ],
+)
+def test_phi1_writes_into_its_result_bitwise(theta):
+    # sin and cos go straight into the result's parts; the arithmetic is the
+    # same, so every bit is too
+    got, want = phi1(theta), _phi1_with_temporaries(theta)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_phi1_peak_memory():
+    # 205k phases: the Picard iterate's largest chunk at C = 64
+    tracemalloc = pytest.importorskip("tracemalloc")
+    theta = np.random.default_rng(3).uniform(-50, 50, 205_000)
+    tracemalloc.start()
+    try:
+        out = phi1(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * theta.nbytes
 
 
 @pytest.mark.parametrize("z", [0.5j, 1 + 0j, np.array([0.1j, 2.0 + 0j]), [0.5 + 0j]])

@@ -14,6 +14,7 @@ from qpwave import (
     nonresonance_check,
     shell_indices,
     fit_exponent,
+    integer_lattice,
 )
 from conftest import SQRT2, oracle_box_min_freq, sqrt2_convergents
 
@@ -226,3 +227,48 @@ def test_json_roundtrip(sqrt2_spec, sqrt23_spec):
         "nu": [2],
         "omega": [[{"a": 1, "b": 0, "d": 2}, {"a": 0, "b": 1, "d": 2}]],
     }
+
+
+FREQ_FAMILIES = {
+    "sqrt2": LatticeSpec([[QScalar(1), QScalar.sqrt(2)]]),
+    "sqrt3": LatticeSpec([[QScalar(1), QScalar.sqrt(3)]]),
+    "sqrt5": LatticeSpec([[QScalar(1), QScalar.sqrt(5)]]),
+    "float_rank2": LatticeSpec([[1.0, math.pi]]),
+    "float_rank3": LatticeSpec([[1.0, SQRT2, math.sqrt(3.0)]]),
+    "integer": integer_lattice(),
+    "d2": LatticeSpec([[1.0, SQRT2], [math.sqrt(3.0)]]),
+}
+
+
+def test_freq_float_of_a_row_does_not_depend_on_its_batch():
+    # each row's frequency is the same bits alone, in any batch, and equal to
+    # its columns summed in generator order in Python floats
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def batches(draw):
+        name = draw(st.sampled_from(sorted(FREQ_FAMILIES)))
+        rank = FREQ_FAMILIES[name].rank
+        entry = st.integers(-(10**6), 10**6)
+        rows = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), min_size=1,
+                             max_size=120))
+        return name, rows
+
+    @hypothesis.given(batches())
+    def check(case):
+        name, rows = case
+        spec = FREQ_FAMILIES[name]
+        idx = np.array(rows, dtype=np.int64)
+        batched = spec.freq_float(idx).reshape(len(rows), spec.d)
+        for row, got in zip(rows, batched):
+            alone = spec.freq_float(np.array([row], dtype=np.int64)).reshape(spec.d)
+            assert alone.tobytes() == got.tobytes()
+            for i in range(spec.d):
+                n, w = row[spec.block(i)], spec.float_omega(i).tolist()
+                want = float(n[0]) * w[0]
+                for c, x in zip(n[1:], w[1:]):
+                    want += float(c) * x
+                assert got[i] == want
+
+    check()

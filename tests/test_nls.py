@@ -178,21 +178,34 @@ def test_solve_galilean_covariance(sqrt2_spec):
     assert (direct - routed).l2_norm() < 1e-8
 
 
+def _hermitian(basis, values):
+    """Rows of ``values`` over ``basis`` made real fields: the coefficient at
+    -n is the conjugate of the one at n, and the mean is zero."""
+    where = {n: i for i, n in enumerate(map(tuple, basis.tolist()))}
+    mirror = np.array([where[tuple(-x for x in n)] for n in basis.tolist()])
+    out = 0.5 * (values + np.conj(values[..., mirror]))
+    out[..., ~basis.any(axis=1)] = 0
+    return out
+
+
 def test_torus_plan_matches_multiply_oracle(sqrt2_spec, sqrt23_spec):
     # the FFT right-hand side and truncation loss against the multiply-based
-    # nonlinearities, on data spread over the truncation ball
+    # nonlinearities, on data spread over the truncation ball; the derivative
+    # plan is defined on real fields, so its data are Hermitian and mean-zero
     d2_spec = LatticeSpec([[1.0, math.sqrt(2.0)], [math.sqrt(3.0)]])
     cases = [
         # (lattice, kind, power, sign, trunc_height)
         (sqrt2_spec, "cubic", 2, 1, 6),
         (sqrt2_spec, "cubic", 3, -1, 3),
-        (sqrt2_spec, "derivative", 2, 1, 6),
-        # the solve benchmark's grids: sides 86 -> 90 and 52 -> 54
+        (sqrt2_spec, "derivative", 2, 1, 6),  # odd side 26 -> 27
+        # the solve benchmark's grids: sides 86 -> 90, 52 -> 54, and 50 (even:
+        # the derivative plan's half spectrum has a Nyquist column)
         (sqrt2_spec, "cubic", 2, 1, 14),
         (sqrt2_spec, "cubic", 3, 1, 5),
+        (sqrt2_spec, "derivative", 2, 1, 12),
         (sqrt23_spec, "cubic", 2, -1, 3),
         (sqrt23_spec, "cubic", 3, 1, 2),
-        (sqrt23_spec, "derivative", 2, 1, 3),
+        (sqrt23_spec, "derivative", 2, 1, 3),  # odd side 14 -> 15
         (d2_spec, "cubic", 2, 1, 3),
         (d2_spec, "cubic", 3, -1, 2),
     ]
@@ -202,8 +215,12 @@ def test_torus_plan_matches_multiply_oracle(sqrt2_spec, sqrt23_spec):
         symbol = DispersionSymbol.airy() if deriv else DispersionSymbol.schrodinger()
         plan = _TorusPlan(spec, H, kind, symbol, power, sign)
         sel = rng.choice(len(plan.basis), size=12, replace=False)
-        vals = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        u = TrigPoly.from_arrays(spec, plan.basis[sel], vals)
+        vals = np.zeros(len(plan.basis), dtype=complex)
+        vals[sel] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        if deriv:
+            vals = _hermitian(plan.basis, vals)
+        nz = np.flatnonzero(vals)
+        u = TrigPoly.from_arrays(spec, plan.basis[nz], vals[nz])
         full = kdv_rhs(u) if deriv else -1j * power_nonlinearity(u, power, sign)
         kept = project_ball(full, H)
         want = np.array([kept.coeff(n) for n in plan.basis.tolist()])
@@ -269,6 +286,8 @@ def test_batched_rhs_matches_single_rows(sqrt2_spec):
         plan = _TorusPlan(spec, H, kind, symbol, power, sign)
         shape = (4, len(plan.basis))
         S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if deriv:
+            S = _hermitian(plan.basis, S)
         got, loss = plan.rhs(S)
         losses = []
         for q in range(4):
@@ -307,11 +326,87 @@ def test_step_matches_per_node_reference(sqrt2_spec, kind):
     rng = np.random.default_rng(63)
     n = len(plan.basis)
     u = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if deriv:
+        u = _hermitian(plan.basis, u)
     args = (u, 2e-3, plan.rates, plan.rhs, 1e-12, 25)
-    got, sweeps, _, _ = _step_vectors(*args)
+    got, sweeps, _, _, _ = _step_vectors(*args)
     want, want_sweeps = _reference_step(*args)
     assert sweeps == want_sweeps
     assert got.tobytes() == want.tobytes()
+
+
+def _cubic_h8_data(spec, seed):
+    """50 unit-norm modes in the box [-5, 5]^2, as in the solve benchmark."""
+    return random_poly(spec, 50, np.random.default_rng(seed), box=5, unit=True)
+
+
+@pytest.mark.filterwarnings("ignore:Galerkin truncation")
+def test_repeated_steps_start_from_the_previous_polynomial(sqrt2_spec):
+    # the first step starts from the constant guess; every later step starts
+    # from the previous step's collocation polynomial and needs fewer sweeps
+    for seed in (70, 71):
+        res = solve(_cubic_h8_data(sqrt2_spec, seed), SolverConfig(8, dt=1e-3, T=10e-3))
+        first, *rest = [r.picard_iters for r in res.trace]
+        assert rest and all(n < first for n in rest)
+
+
+@pytest.mark.filterwarnings("ignore:Galerkin truncation")
+@pytest.mark.parametrize("kind", ["cubic", "derivative"])
+def test_guessed_steps_match_constant_guess_steps(sqrt2_spec, kind):
+    # the starting guess changes where the sweeps start, not where they stop:
+    # the final state agrees with steps that all start from the constant guess
+    # to Picard-tolerance level
+    deriv = kind == "derivative"
+    cfg = SolverConfig(trunc_height=8, dt=1e-3, T=10e-3)
+    rng = np.random.default_rng(72)
+    if deriv:
+        u0 = random_poly(sqrt2_spec, 10, rng, box=5, real=True, unit=True)
+        res = kdv_solve(u0, cfg)
+        symbol = DispersionSymbol.airy()
+    else:
+        u0 = _cubic_h8_data(sqrt2_spec, 72)
+        res = solve(u0, cfg)
+        symbol = DispersionSymbol.schrodinger()
+    plan = _TorusPlan(sqrt2_spec, cfg.trunc_height, kind, symbol)
+    state = plan.load(u0)
+    for _ in range(10):
+        state = _step_vectors(state, cfg.dt, plan.rates, plan.rhs, cfg.picard_tol, 25)[0]
+    want = plan.unload(state)
+    assert (res.final - want).l2_norm() <= 1e-12 * want.l2_norm()
+
+
+@pytest.mark.filterwarnings("ignore:Galerkin truncation")
+@pytest.mark.parametrize("T", [0.0105, 0.0097])
+def test_steps_of_a_new_size_start_from_the_constant_guess(sqrt2_spec, monkeypatch, T):
+    # T = 10.5 dt appends a remainder step, T = 9.7 dt shortens the last step:
+    # either starts from u_vec, and so does the first step
+    import qpwave.nls as nls
+
+    calls = []
+    step = nls._step_vectors
+
+    def recording(u_vec, dt, *args):
+        calls.append((dt, args[-1] is None))
+        return step(u_vec, dt, *args)
+
+    monkeypatch.setattr(nls, "_step_vectors", recording)
+    solve(_cubic_h8_data(sqrt2_spec, 73), SolverConfig(trunc_height=8, dt=1e-3, T=T))
+    assert len(calls) in (10, 11)
+    assert [fresh for _, fresh in calls] == [True] + [False] * (len(calls) - 2) + [True]
+    assert calls[-1][0] != calls[-2][0] == 1e-3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_guessed_step_that_fails_to_contract_raises(sqrt2_spec):
+    plan = _TorusPlan(sqrt2_spec, 6, "cubic", DispersionSymbol.schrodinger())
+    u0 = 40.0 * random_poly(sqrt2_spec, 8, np.random.default_rng(55), box=2, unit=True)
+    u = plan.load(u0)
+    guess = 1.01 * np.tile(u, (4, 1))
+    with pytest.raises(NonContractionError) as info:
+        _step_vectors(u, 0.3, plan.rates, plan.rhs, 1e-10, 12, guess)
+    assert info.value.ratio > 1
+    with pytest.raises(NonContractionError):
+        solve(u0, SolverConfig(trunc_height=6, dt=0.1, T=0.3, max_picard=12))
 
 
 def test_solve_rank_two_height_24_at_default_budget(sqrt2_spec):
