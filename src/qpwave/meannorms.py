@@ -65,6 +65,9 @@ IMAG_RESIDUE_TOL = 1e-12
 # Pairs per (k, s, s) block of the windowed pairing: one numpy pass per block
 # while its complex temporaries stay a few MB.
 PAIR_BLOCK = 1 << 18
+# Samples per chunk of the quadrature sums: 512 KB of complex samples, so a
+# chunk and its |f|^p temporary stay in cache.
+SUM_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -98,18 +101,47 @@ def _check_window(L) -> None:
         raise ValueError(f"the window half-width L must be positive and finite, got {L}")
 
 
+def _trapezoid_mean(v: np.ndarray, term=None):
+    """Trapezoid-rule mean of term(v) over the n - 1 equal steps of the grid
+    of samples v (n >= 2; no term: the samples themselves).
+
+    term maps SUM_CHUNK consecutive samples at a time to an array of the same
+    length, so no other array of the grid's length is built.  Each chunk is
+    summed by numpy; ``math.fsum`` adds the chunk sums and minus half of the
+    two endpoint terms exactly (real and imaginary parts apart), and the total
+    is divided by n - 1.
+    """
+    n = len(v)
+    parts = []
+    for i in range(0, n, SUM_CHUNK):
+        q = v[i : i + SUM_CHUNK]
+        if term is not None:
+            q = term(q)
+        if i == 0:
+            parts.append(-0.5 * q[0])
+        parts.append(q.sum())
+    parts.append(-0.5 * q[-1])
+    parts = np.array(parts)
+    if np.iscomplexobj(parts):
+        return complex(math.fsum(parts.real) / (n - 1), math.fsum(parts.imag) / (n - 1))
+    return math.fsum(parts) / (n - 1)
+
+
 def mean_value_numeric(f: TrigPoly, L: float, points: int = 200_001) -> complex:
     """Trapezoid average over [-L, L] from ``points`` equally spaced samples;
     cross-validates the exact mean.  The samples come from
     ``TrigPoly.evaluate`` on a ``Linspace`` grid (block and offset phases,
-    d = 1 only; no abscissa array is built).  A
-    window that is not positive and finite, or fewer than 2 points, raise
-    ``ValueError``."""
+    d = 1 only; no abscissa array is built).  They are summed in chunks of
+    ``SUM_CHUNK`` samples, and ``math.fsum`` adds the chunk sums and minus half
+    of the two endpoint samples exactly, real and imaginary parts apart; the
+    mean is that total over points - 1.  ``points`` is checked against the
+    work budget before any sampling.  A window that is not positive and
+    finite, or fewer than 2 points, raise ``ValueError``."""
     _check_window(L)
     if points < 2:
         raise ValueError(f"the trapezoid average needs at least 2 points, got {points}")
-    v = f.evaluate(Linspace(-L, L, points))
-    return complex(np.trapezoid(v, dx=2 * L / (points - 1)) / (2 * L))
+    _budget.check(points, what="quadrature grid")
+    return _trapezoid_mean(f.evaluate(Linspace(-L, L, points)))
 
 
 # -- exact mean L^p norms (even p) ---------------------------------------------------
@@ -164,8 +196,11 @@ def lp_norm_numeric(
     |f| is sampled by ``TrigPoly.evaluate`` on ``Linspace(-L, L, n)``, n
     equally spaced points of [-L, L] with no abscissa array built, at least
     ``min_points_per_period`` per period of the fastest mode (block and
-    offset phase tables, one matrix product; d = 1 only), and the trapezoid
-    rule integrates them with step 2L / (n - 1).
+    offset phase tables, one matrix product; d = 1 only).  |f|^p is formed and
+    summed in chunks of ``SUM_CHUNK`` samples, so no other array of the
+    grid's length is built, and ``math.fsum`` adds the chunk sums and minus
+    half of the two endpoint values exactly: the trapezoid mean is that total
+    over n - 1.
     The grid size n is checked against the work budget before any sampling.
     ``ValueError`` unless p is a positive even integer (the window is sized
     from p/2-fold sums) and ``min_points_per_period`` an integer >= 2 (fewer
@@ -192,10 +227,14 @@ def lp_norm_numeric(
     step = 2 * math.pi / (min_points_per_period * max_lam)
     n = int(2 * L / step) + 2
     _budget.check(n, what="quadrature grid")
-    v = f.evaluate(Linspace(-L, L, n))
-    vals = (v.real**2 + v.imag**2) ** (p / 2)
-    mean = float(np.trapezoid(vals, dx=2 * L / (n - 1)) / (2 * L))
-    return mean ** (1.0 / p)
+
+    def power(w):
+        q = w.real * w.real
+        q += w.imag * w.imag
+        q **= p / 2
+        return q
+
+    return _trapezoid_mean(f.evaluate(Linspace(-L, L, n)), power) ** (1.0 / p)
 
 
 # -- space-time norms of free evolutions ------------------------------------------------

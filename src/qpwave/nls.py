@@ -316,21 +316,21 @@ def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps, guess=None):
     stage; largest squared norm a row lost to truncation), called once per
     sweep.  The sweeps start from ``guess`` (node states in this step's
     interaction picture), or from the constant u_vec when it is None.
-    Returns (vector at step end, sweeps, last contraction ratio, max rhs
-    loss, starting guess for a next step of the same size): the guess is the
-    converged collocation polynomial continued to the nodes 1 + node_q and
-    moved into the next step's interaction picture.
+    Returns (vector at step end, sweeps, last contraction ratio, rhs loss of
+    the last sweep, starting guess for a next step of the same size).  The
+    last sweep's right-hand sides build the step's end vector, so its loss
+    does not depend on where the sweeps started.  The guess is the converged
+    collocation polynomial continued to the nodes 1 + node_q and moved into
+    the next step's interaction picture.
     """
     phase = np.exp(1j * np.outer(_NODES * dt, rates))
     unphase = np.conj(phase)
     w = np.tile(u_vec, (4, 1)) if guess is None else guess
     prev_diff = None
     ratio = math.nan
-    max_loss = 0.0
     for sweep in range(1, max_sweeps + 1):
         f, loss = rhs(w * phase)
         f *= unphase
-        max_loss = max(max_loss, loss)
         w_new = u_vec + dt * _node_sum(_NODE_INTEGRALS, f)
         diff = float(np.linalg.norm(w_new - w, axis=1).max())
         if not math.isfinite(diff):
@@ -350,7 +350,7 @@ def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps, guess=None):
     step_phase = np.exp(1j * dt * rates)
     w_end = u_vec + dt * _node_sum(_END_WEIGHTS, f)
     w_next = u_vec + dt * _node_sum(_NEXT_INTEGRALS, f)
-    return w_end * step_phase, sweep, ratio, max_loss, w_next * step_phase
+    return w_end * step_phase, sweep, ratio, loss, w_next * step_phase
 
 
 def _split_steps(T, dt):

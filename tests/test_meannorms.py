@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -88,23 +89,88 @@ def test_lp_numeric_periodic_full_periods(int_spec):
     assert got == pytest.approx(exact, rel=1e-6)
 
 
+def _grid_step(f, per_period):
+    return 2 * math.pi / (per_period * max(1.0, float(np.abs(f.freqs_float()).max())))
+
+
+def _grid_size(f, L, per_period):
+    return int(2 * L / _grid_step(f, per_period)) + 2
+
+
+def _window_of_size(f, n, per_period=8):
+    """A half-width L whose quadrature grid has n samples."""
+    L = (n - 1.5) * _grid_step(f, per_period) / 2
+    assert _grid_size(f, L, per_period) == n
+    return L
+
+
+def _linspace_power(f, p, L, per_period):
+    """|f|^p on a materialised linspace grid of lp_norm_numeric's size."""
+    v = f.evaluate(np.linspace(-L, L, _grid_size(f, L, per_period)))
+    return (v.real**2 + v.imag**2) ** (p / 2)
+
+
 def _quadrature_reference(f, p, L, per_period=8):
-    """lp_norm_numeric's documented recipe on a materialised linspace grid."""
-    max_lam = max(1.0, float(np.abs(f.freqs_float()).max()))
-    n = int(2 * L / (2 * math.pi / (per_period * max_lam))) + 2
-    v = f.evaluate(np.linspace(-L, L, n))
-    vals = (v.real**2 + v.imag**2) ** (p / 2)
-    return float(np.trapezoid(vals, dx=2 * L / (n - 1)) / (2 * L)) ** (1.0 / p)
+    """lp_norm_numeric's documented recipe on a materialised linspace grid:
+    |f|^p summed in chunks of SUM_CHUNK samples, the chunk sums and minus
+    half of the two endpoint values added by math.fsum, over n - 1."""
+    vals = _linspace_power(f, p, L, per_period)
+    n, chunk = len(vals), meannorms.SUM_CHUNK
+    parts = [vals[i : i + chunk].sum() for i in range(0, n, chunk)]
+    total = math.fsum(parts + [-0.5 * vals[0], -0.5 * vals[-1]])
+    return (total / (n - 1)) ** (1.0 / p)
+
+
+def _np_trapezoid_reference(f, p, L, per_period=8):
+    """The same trapezoid mean by np.trapezoid with step 2L / (n - 1)."""
+    vals = _linspace_power(f, p, L, per_period)
+    dx = 2 * L / (len(vals) - 1)
+    return float(np.trapezoid(vals, dx=dx) / (2 * L)) ** (1.0 / p)
 
 
 @pytest.mark.parametrize("spec_name", ["sqrt2_spec", "int_spec", "sqrt23_spec"])
 def test_lp_numeric_pinned_to_linspace_reference(spec_name, request):
     spec = request.getfixturevalue(spec_name)
     rng = np.random.default_rng(24)
-    for p, L, per_period in ((4, 300.0, 8), (6, 123.25, 8), (4, 40 * math.pi, 64)):
+    # the last window spans several chunks of SUM_CHUNK samples
+    cases = ((4, 300.0, 8), (6, 123.25, 8), (4, 40 * math.pi, 64), (6, 4000.0, 16))
+    for p, L, per_period in cases:
         f = random_poly(spec, 7, rng, box=3)
         got = lp_norm_numeric(f, p, L=L, min_points_per_period=per_period)
         assert got == _quadrature_reference(f, p, L, per_period)
+
+
+@pytest.mark.parametrize("spec_name", ["sqrt2_spec", "int_spec", "sqrt23_spec"])
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 8, 14, 15, 50])
+def test_lp_numeric_chunked_sum(spec_name, n, request, monkeypatch):
+    # a chunk of 7 samples: one short chunk, chunk - 1, chunk, chunk + 1,
+    # whole chunks and a short last chunk
+    monkeypatch.setattr(meannorms, "SUM_CHUNK", 7)
+    spec = request.getfixturevalue(spec_name)
+    rng = np.random.default_rng(1000 + n)
+    f = random_poly(spec, 6, rng, box=3)
+    L = _window_of_size(f, n)
+    eps = np.finfo(float).eps
+    for p in (2, 4, 6):
+        got = lp_norm_numeric(f, p, L=L)
+        assert got == _quadrature_reference(f, p, L)
+        want = _np_trapezoid_reference(f, p, L)
+        assert abs(got - want) <= 64 * eps * want
+
+
+def test_lp_numeric_peak_memory_is_the_grid(sqrt2_spec):
+    # the grid of the benchmark's 8-mode window, n = 865,055 complex samples:
+    # besides it only one chunk's |f|^p is live
+    f = random_poly(sqrt2_spec, 8, np.random.default_rng(26), box=3)
+    n = 865_055
+    L = _window_of_size(f, n)
+    tracemalloc.start()
+    try:
+        lp_norm_numeric(f, 4, L=L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * n
 
 
 def test_mean_value_numeric_matches_linspace_trapezoid(sqrt2_spec):
@@ -116,6 +182,26 @@ def test_mean_value_numeric_matches_linspace_trapezoid(sqrt2_spec):
         want = np.trapezoid(f.evaluate(xs), xs) / (2 * L)
         mass = float(np.abs(f.as_arrays()[1]).sum())
         assert abs(mean_value_numeric(f, L=L, points=points) - want) <= 1e-14 * mass
+
+
+def test_mean_value_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch, work_budget):
+    f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (0, 1): 0.5j})
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr(TrigPoly, "evaluate", no_sampling)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="quadrature grid"):
+            mean_value_numeric(f, L=1.0, points=10**15)  # refused, not allocated
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    work_budget(100)
+    with pytest.raises(BudgetError, match="quadrature grid"):
+        mean_value_numeric(f, L=1.0, points=101)
 
 
 def test_lp_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch, work_budget):

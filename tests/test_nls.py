@@ -355,7 +355,8 @@ def test_repeated_steps_start_from_the_previous_polynomial(sqrt2_spec):
 def test_guessed_steps_match_constant_guess_steps(sqrt2_spec, kind):
     # the starting guess changes where the sweeps start, not where they stop:
     # the final state agrees with steps that all start from the constant guess
-    # to Picard-tolerance level
+    # to Picard-tolerance level, and so does every step's truncation loss (the
+    # loss of the last sweep, whose right-hand sides build the step's end)
     deriv = kind == "derivative"
     cfg = SolverConfig(trunc_height=8, dt=1e-3, T=10e-3)
     rng = np.random.default_rng(72)
@@ -369,10 +370,17 @@ def test_guessed_steps_match_constant_guess_steps(sqrt2_spec, kind):
         symbol = DispersionSymbol.schrodinger()
     plan = _TorusPlan(sqrt2_spec, cfg.trunc_height, kind, symbol)
     state = plan.load(u0)
+    losses = []
     for _ in range(10):
-        state = _step_vectors(state, cfg.dt, plan.rates, plan.rhs, cfg.picard_tol, 25)[0]
+        state, _, _, loss, _ = _step_vectors(
+            state, cfg.dt, plan.rates, plan.rhs, cfg.picard_tol, 25
+        )
+        losses.append(cfg.dt * cfg.dt * loss)
     want = plan.unload(state)
     assert (res.final - want).l2_norm() <= 1e-12 * want.l2_norm()
+    got = [r.trunc_loss for r in res.trace]
+    assert min(losses) > 0
+    assert max(abs(g - w) / w for g, w in zip(got, losses)) <= 1e-8
 
 
 @pytest.mark.filterwarnings("ignore:Galerkin truncation")
