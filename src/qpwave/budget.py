@@ -13,8 +13,8 @@ from .errors import BudgetError
 
 DEFAULT_BUDGET = 10_000_000
 
-# Entry cap on one outer-product table (tuple fold, p = 6 triple product); the work
-# budget is checked on the same product, so the cap binds only above a 1e8 budget.
+# Entry cap on one outer-product table (a tuple-fold step, a tuple-power product); the
+# work budget is checked on the same product, so the cap binds only above a 1e8 budget.
 MEMORY_ENTRY_BUDGET = 100_000_000
 
 _default = DEFAULT_BUDGET
@@ -42,7 +42,7 @@ def check(work: int, budget: int | None = None, what: str = "enumeration") -> No
 
 
 def check_memory(entries: int, what: str = "tuple table") -> None:
-    """Cap the entries of one outer-product table: a tuple-fold step or the p = 6 product."""
+    """Cap the entries of one outer-product table: a tuple-fold step or a tuple-power product."""
     if entries > MEMORY_ENTRY_BUDGET:
         raise BudgetError(
             f"{what} needs ~{entries} entries, memory cap is {MEMORY_ENTRY_BUDGET}"

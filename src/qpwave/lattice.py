@@ -57,6 +57,13 @@ class LatticeSpec:
     field) or all floats; float mode uses a 1e-12 coincidence tolerance.  Exact
     lattices store integer generator coordinates over one denominator ``den``
     in Q(sqrt ``radicand``); every exact decision runs on ``exact_coords``.
+
+    Construction refuses generators with an integer relation
+    (``ResonantLatticeError``, naming a primitive one): on an exact lattice by
+    a complete rank test of each block's columns (A_j, B_j) over Q, so a block
+    has at most two generators (one over Q); on a float lattice by
+    ``nonresonance_check`` on the box |n|_inf <= ``check_height``.
+    ``check_height=0`` builds any lattice unchecked.
     """
 
     __slots__ = ("d", "nu", "omega", "exact", "_float_omega", "_blocks", "den", "radicand",
@@ -108,7 +115,9 @@ class LatticeSpec:
         object.__setattr__(
             self, "_blocks", tuple(slice(starts[i], starts[i + 1]) for i in range(d))
         )
-        if check_height > 0:
+        if check_height > 0 and exact:
+            _refuse_relations(coords)
+        elif check_height > 0:
             nonresonance_check(self, check_height)
 
     def __setattr__(self, name, value):
@@ -223,6 +232,30 @@ class LatticeSpec:
         if list(spec.nu) != [int(x) for x in obj["nu"]]:
             raise ValueError("nu does not match generator block lengths")
         return spec
+
+
+def _refuse_relations(coords) -> None:
+    """Raise ``ResonantLatticeError`` naming a primitive integer n != 0 with
+    sum_j n_j (A_j, B_j) = 0 if the nonzero integer columns of a block of
+    ``coords`` are dependent over Q.  Three 2-vectors satisfy the relation of
+    their 2 x 2 minors; if those vanish, or there are two, the first two are
+    parallel or independent, and parallel u, v satisfy (u.v) u - (u.u) v = 0."""
+    for i, cols in enumerate(coords):
+        def det(j, k):
+            return cols[j][0] * cols[k][1] - cols[j][1] * cols[k][0]
+
+        n = [0] * len(cols)
+        if len(n) >= 3:
+            n[:3] = det(1, 2), -det(0, 2), det(0, 1)
+        if len(n) >= 2 and det(0, 1) == 0:
+            (a, b), (c, e) = cols[:2]
+            n[:2] = a * c + b * e, -(a * a + b * b)
+        if any(n):
+            relation = tuple(x // math.gcd(*n) for x in n)
+            raise ResonantLatticeError(
+                f"generators of dimension {i} satisfy the integer relation {relation}",
+                relation=relation,
+            )
 
 
 def sqrt2_lattice() -> LatticeSpec:

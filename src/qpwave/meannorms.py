@@ -101,17 +101,20 @@ def _check_window(L) -> None:
         raise ValueError(f"the window half-width L must be positive and finite, got {L}")
 
 
-def _trapezoid_mean(v: np.ndarray, term=None):
-    """Trapezoid-rule mean of term(v) over the n - 1 equal steps of the grid
-    of samples v (n >= 2; no term: the samples themselves).
+def _trapezoid_mean(f: TrigPoly, L: float, n: int, term=None):
+    """Trapezoid-rule mean of term(f) over the n - 1 equal steps of
+    ``Linspace(-L, L, n)`` (n >= 2; no term: the samples of f themselves).
 
-    term maps SUM_CHUNK consecutive samples at a time to an array of the same
-    length, so no other array of the grid's length is built.  Each chunk is
-    summed by numpy; ``math.fsum`` adds the chunk sums and minus half of the
-    two endpoint terms exactly (real and imaginary parts apart), and the total
-    is divided by n - 1.
+    n is checked against the work budget before any sampling; the samples come
+    from one ``TrigPoly.evaluate`` call on that grid (block and offset phases,
+    d = 1 only; no abscissa array is built).  term maps SUM_CHUNK consecutive
+    samples at a time to an array of the same length, so no other array of
+    the grid's length is built.  Each chunk is summed by numpy; ``math.fsum``
+    adds the chunk sums and minus half of the two endpoint terms exactly (real
+    and imaginary parts apart), and the total is divided by n - 1.
     """
-    n = len(v)
+    _budget.check(n, what="quadrature grid")
+    v = f.evaluate(Linspace(-L, L, n))
     parts = []
     for i in range(0, n, SUM_CHUNK):
         q = v[i : i + SUM_CHUNK]
@@ -129,56 +132,46 @@ def _trapezoid_mean(v: np.ndarray, term=None):
 
 def mean_value_numeric(f: TrigPoly, L: float, points: int = 200_001) -> complex:
     """Trapezoid average over [-L, L] from ``points`` equally spaced samples;
-    cross-validates the exact mean.  The samples come from
-    ``TrigPoly.evaluate`` on a ``Linspace`` grid (block and offset phases,
-    d = 1 only; no abscissa array is built).  They are summed in chunks of
-    ``SUM_CHUNK`` samples, and ``math.fsum`` adds the chunk sums and minus half
-    of the two endpoint samples exactly, real and imaginary parts apart; the
-    mean is that total over points - 1.  ``points`` is checked against the
-    work budget before any sampling.  A window that is not positive and
-    finite, or fewer than 2 points, raise ``ValueError``."""
+    cross-validates the exact mean.  The samples are f on
+    ``Linspace(-L, L, points)``, summed in chunks of ``SUM_CHUNK`` samples;
+    ``math.fsum`` adds the chunk sums and minus half of the two endpoint
+    samples exactly, real and imaginary parts apart, and the mean is that
+    total over points - 1.  ``points`` is checked against the work budget
+    before any sampling.  A window that is not positive and finite, or fewer
+    than 2 points, raise ``ValueError``."""
     _check_window(L)
     if points < 2:
         raise ValueError(f"the trapezoid average needs at least 2 points, got {points}")
-    _budget.check(points, what="quadrature grid")
-    return _trapezoid_mean(f.evaluate(Linspace(-L, L, points)))
+    return _trapezoid_mean(f, L, points)
 
 
 # -- exact mean L^p norms (even p) ---------------------------------------------------
 
 
+def _tuple_power(f: TrigPoly, k: int) -> TrigPoly:
+    """f^k by k - 1 products with f: its indices are the distinct k-fold index
+    sums of f, grouped exactly by ``multiply``, and its coefficients the summed
+    products of their tuples.  Each product's outer-sum table is capped like
+    a tuple-fold step."""
+    g = f
+    for _ in range(k - 1):
+        _budget.check_memory(len(g) * len(f), what="tuple-power table")
+        g = multiply(g, f)
+    return g
+
+
 def lp_norm_exact(f: TrigPoly, p: int) -> float:
-    """Mean L^p norm via matched index tuples; p in {2, 4, 6}."""
+    """Mean L^p norm via matched index tuples; p in {2, 4, 6}.  For p = 2k the
+    mean of |f|^p is the squared l^2 norm of the coefficients of f^k, whose
+    index rows are the k-fold index sums of f (``_tuple_power``)."""
     if p == 2:
         return f.l2_norm()
     if p not in (4, 6):
         raise ValueError("exact mean norms are available for p in {2, 4, 6}")
     if not f:
         return 0.0
-    g = multiply(f, f)
-    if p == 4:
-        _, gv = g.as_arrays()
-        total = float((gv.real**2 + gv.imag**2).sum())
-        return total ** (1.0 / 4.0)
-    _budget.check_memory(len(g) * len(f), what="triple-sum table")
-    h = multiply(g, f)
-    _, hv = h.as_arrays()
-    total = float((hv.real**2 + hv.imag**2).sum())
-    return total ** (1.0 / 6.0)
-
-
-def _tuple_sum_gap(lam: np.ndarray, scales: np.ndarray, k: int) -> float:
-    """Smallest positive spacing among k-fold frequency sums (0 if none);
-    spacings within FLOAT_SUM_TOL of the summed term scales are roundoff."""
-    _budget.check(len(lam) ** k, what="tuple-sum spacing scan")
-    sums, mags = lam, scales
-    for _ in range(k - 1):
-        sums, mags = _outer(sums, lam), _outer(mags, scales)
-    order = np.argsort(sums)
-    sums, mags = sums[order], mags[order]
-    d = np.diff(sums)
-    d = d[d > FLOAT_SUM_TOL * np.maximum(mags[1:], mags[:-1])]
-    return float(d.min()) if len(d) else 0.0
+    _, v = _tuple_power(f, p // 2).as_arrays()
+    return float((v.real**2 + v.imag**2).sum()) ** (1.0 / p)
 
 
 def lp_norm_numeric(
@@ -190,13 +183,17 @@ def lp_norm_numeric(
     """Quadrature estimate of the mean L^p norm over [-L, L]; the independent
     check for ``lp_norm_exact``.
 
-    Without an explicit L the window is sized from the smallest spacing of
-    p/2-fold frequency sums, which controls the slowest surviving oscillation
-    of |f|^p; an explicit L must be positive and finite (else ``ValueError``).
-    |f| is sampled by ``TrigPoly.evaluate`` on ``Linspace(-L, L, n)``, n
-    equally spaced points of [-L, L] with no abscissa array built, at least
-    ``min_points_per_period`` per period of the fastest mode (block and
-    offset phase tables, one matrix product; d = 1 only).  |f|^p is formed and
+    Without an explicit L the window is sized from f^(p/2)
+    (``_tuple_power``, budget-checked as a "coefficient convolution"): its
+    indices are the distinct p/2-fold index sums of f, already grouped
+    exactly, and the smallest spacing of their sorted float frequencies
+    controls the slowest surviving oscillation of |f|^p.  L is 1e4 over that
+    gap, or 1e3 if it is 0 (one sum, or coinciding frequencies).  An explicit
+    L must be positive and finite (else ``ValueError``).
+    |f| is sampled on ``Linspace(-L, L, n)``, n equally spaced points of
+    [-L, L] with no abscissa array built, at least ``min_points_per_period``
+    per period of the fastest mode (``TrigPoly.evaluate``: block and offset
+    phase tables, one matrix product; d = 1 only).  |f|^p is formed and
     summed in chunks of ``SUM_CHUNK`` samples, so no other array of the
     grid's length is built, and ``math.fsum`` adds the chunk sums and minus
     half of the two endpoint values exactly: the trapezoid mean is that total
@@ -218,15 +215,13 @@ def lp_norm_numeric(
         _check_window(L)
     if not f:
         return 0.0
-    lam = f.freqs_float()
-    max_lam = max(1.0, float(np.abs(lam).max()))
+    max_lam = max(1.0, float(np.abs(f.freqs_float()).max()))
     if L is None:
-        scales = f.spec.freq_float(np.abs(f.as_arrays()[0]))
-        gap = _tuple_sum_gap(lam, scales, p // 2)
+        gaps = np.diff(np.sort(_tuple_power(f, p // 2).freqs_float()))
+        gap = float(gaps.min()) if len(gaps) else 0.0
         L = 1e4 / gap if gap > 0 else 1e3
     step = 2 * math.pi / (min_points_per_period * max_lam)
     n = int(2 * L / step) + 2
-    _budget.check(n, what="quadrature grid")
 
     def power(w):
         q = w.real * w.real
@@ -234,7 +229,7 @@ def lp_norm_numeric(
         q **= p / 2
         return q
 
-    return _trapezoid_mean(f.evaluate(Linspace(-L, L, n)), power) ** (1.0 / p)
+    return _trapezoid_mean(f, L, n, power) ** (1.0 / p)
 
 
 # -- space-time norms of free evolutions ------------------------------------------------
@@ -253,11 +248,6 @@ def evolved_factor_data(f: TrigPoly, symbol: DispersionSymbol, conjugated: bool 
         if keys is not None:
             keys = -keys
     return idx, vals, rates, keys
-
-
-def _outer(a, b, op=np.add):
-    """op over all row pairs (a major), keeping the trailing axes of a."""
-    return op(a[:, None], b[None, :]).reshape((-1,) + a.shape[1:])
 
 
 def _factor_datas(polys, symbol):

@@ -60,10 +60,10 @@ class SobolevSpec:
 class Linspace:
     """The grid ``np.linspace(start, stop, num)``, held as its endpoints and size.
 
-    ``TrigPoly.evaluate`` samples it from these three numbers, with no abscissa
-    array and no uniformity check.  ``size`` is ``num``, as ``ndarray.size`` of
-    the grid it stands for.  A negative ``num`` and non-finite endpoints or
-    step raise ``ValueError``.
+    It is the one grid type ``TrigPoly.evaluate`` takes: the samples are built
+    from these three numbers, so no abscissa array exists to be checked.
+    ``size`` is ``num``, as ``ndarray.size`` of the grid it stands for.  A
+    negative ``num`` and non-finite endpoints or step raise ``ValueError``.
     """
 
     start: float
@@ -88,26 +88,6 @@ class Linspace:
     @property
     def size(self) -> int:
         return self.num
-
-
-def _as_linspace(xs) -> Linspace:
-    """The ``Linspace`` a caller's array is, to 8 ulps of its larger endpoint;
-    ``ValueError`` if it is not a uniform 1-d grid."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("evaluate requires a uniform grid")
-    n = len(xs)
-    if n == 0:
-        return Linspace(0.0, 0.0, 0)
-    x0, x1 = float(xs[0]), float(xs[-1])
-    h = (x1 - x0) / max(n - 1, 1)  # linspace's own step
-    drift = np.arange(n, dtype=float)  # |xs - (x0 + h j)|, in place
-    drift *= h
-    drift += x0
-    drift -= xs
-    if not np.abs(drift, out=drift).max() <= 8 * np.spacing(max(abs(x0), abs(x1))):
-        raise ValueError("evaluate requires a uniform grid")
-    return Linspace(x0, x1, n)
 
 
 class TrigPoly:
@@ -247,26 +227,21 @@ class TrigPoly:
         _, gap = group_sum(np.concatenate([idx, -idx]), np.concatenate([vals, -vals.conj()]))
         return bool(np.abs(gap).max() <= tol * max(float(np.abs(vals).max()), 1.0))
 
-    def evaluate(self, xs: np.ndarray | Linspace) -> np.ndarray:
-        """Pointwise values on a uniform 1-d grid (d = 1 only).
+    def evaluate(self, xs: Linspace) -> np.ndarray:
+        """Pointwise values on the uniform grid ``xs``, a ``Linspace`` (d = 1
+        only); any other argument raises ``TypeError``.
 
-        ``xs`` is a caller's array such as ``np.linspace(a, b, n)``, or
-        ``Linspace(a, b, n)``, which stands for that array without building it.
-        An array must be uniform: with x0 = xs[0], x1 = xs[-1] and n = len(xs),
-        every point lies within 8 ulps of the larger endpoint of
-        x0 + j (x1 - x0) / (n - 1), otherwise ``ValueError``.  The values depend
-        on x0, x1 and n alone, so both forms of one grid give the same bits.
-
-        With h = (x1 - x0) / (n - 1) and K = isqrt(n - 1) + 1, sample j = bK + k
-        is x0 + h bK + h k, so f there is the product of a block phase table
-        (modes x blocks, times the coefficients) and an offset phase table
-        (modes x K): one matrix product and about 2 sqrt(n) exponentials per
-        mode.
+        With x0 = xs.start, h = xs.step, n = xs.num and K = isqrt(n - 1) + 1,
+        sample j = bK + k is x0 + h bK + h k, so f there is the product of a
+        block phase table (modes x blocks, times the coefficients) and an
+        offset phase table (modes x K): one matrix product and about
+        2 sqrt(n) exponentials per mode.
         """
+        if not isinstance(xs, Linspace):
+            raise TypeError(f"evaluate takes a Linspace grid, got {type(xs).__name__}")
         if self.spec.d != 1:
             raise ValueError("evaluate requires d = 1")
-        grid = xs if isinstance(xs, Linspace) else _as_linspace(xs)
-        n, x0, h = grid.num, grid.start, grid.step
+        n, x0, h = xs.num, xs.start, xs.step
         if n == 0 or not self:
             return np.zeros(n, dtype=complex)
         K = math.isqrt(n - 1) + 1
@@ -318,8 +293,7 @@ def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     _budget.check(work, what="coefficient convolution")
     sums = (fi[:, None, :] + gi[None, :, :]).reshape(-1, f.spec.rank)
     vals = (fv[:, None] * gv[None, :]).ravel()
-    idx, out = group_sum(sums, vals)
-    return TrigPoly.from_arrays(f.spec, idx, out, prune=True)
+    return TrigPoly.from_arrays(f.spec, sums, vals, prune=True)
 
 
 # -- projections ------------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Property tests of the exact decisions on integer frequency coordinates.
 
 ``kernels.surd_sign``, the band mask behind ``project_freq``, the interval
-count and the box minimum (zero test and minimiser) are compared with an
-independent ``QScalar`` oracle that works from ``LatticeSpec.freq``, never
-from the stored integer coordinates.  Rows and endpoints are put exactly on,
+count, the box minimum (zero test and minimiser) and the rank decision of
+exact ``LatticeSpec`` construction are compared with an independent
+``QScalar`` oracle that works from ``LatticeSpec.freq`` or the generators,
+never from the stored integer coordinates.  Rows and endpoints are put exactly on,
 and within the float margin of, band edges and interval endpoints; rows near
 height 1e5 on the denominator-6 lattice give sign operands whose squares
 exceed the int64 range.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -17,11 +19,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from qpwave import LatticeSpec, QScalar, ResonantLatticeError, TrigPoly
 from qpwave.kernels import surd_sign
 from qpwave.lattice import _dim_box_min, count_in_interval, shell_indices
+from qpwave.scalars import as_exact
 from qpwave.trigpoly import _freq_band, project_freq
 
 R = QScalar.rational
@@ -278,3 +281,80 @@ def test_exact_coords_refuse_int64_overflow():
     assert spec.exact_coords(np.array([[2**60, 0]]))[0][0] == 3 * 2**60
     with pytest.raises(ValueError, match="exact lattice"):
         LatticeSpec([[1.0, math.sqrt(2.0)]]).exact_coords(np.zeros((1, 2), dtype=np.int64))
+
+
+def assert_relation(omega, n):
+    """n is a primitive integer relation among the generators omega."""
+    assert len(n) == len(omega) and any(n)
+    assert math.gcd(*n) == 1
+    assert sum((c * w for c, w in zip(n, omega)), QScalar(0)).is_zero
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        [QScalar(1), QScalar(2)],  # outside the H = 1 box of the old probe
+        [QScalar(1), QScalar(2, 3, 2), QScalar(0, 5, 2)],  # three in Q(sqrt 2)
+        [1, Fraction(3, 2)],
+        [QScalar(1), QScalar.sqrt(2), QScalar.sqrt(2)],
+    ],
+)
+def test_dependent_exact_lattices_refused_at_construction(omega):
+    with pytest.raises(ResonantLatticeError) as info:
+        LatticeSpec([omega])
+    assert_relation([as_exact(w) for w in omega], info.value.relation)
+    LatticeSpec([omega], check_height=0)  # the unchecked opt-out still builds
+
+
+def test_dependent_block_named_in_d2():
+    with pytest.raises(ResonantLatticeError, match="dimension 1") as info:
+        LatticeSpec([[QScalar(1), QScalar.sqrt(3)], [QScalar(2), QScalar(3)]])
+    assert info.value.relation in ((3, -2), (-3, 2))
+
+
+RATIONAL = st.fractions(min_value=Fraction(-9), max_value=9, max_denominator=6)
+
+
+def positive(x):
+    """|x|, for a nonzero x."""
+    assume(not x.is_zero)
+    return -x if x.sign() < 0 else x
+
+
+@st.composite
+def field_elements(draw, D):
+    """Positive +-(a + b sqrt D) with small rational a and b (b may be 0)."""
+    return positive(QScalar(draw(RATIONAL), draw(RATIONAL), D))
+
+
+@st.composite
+def generator_sets(draw):
+    """(generators, dependent): a pair drawn from Q(sqrt D), dependent when the
+    ratio of its generators is rational, or a pair plus an integer combination
+    of it, always dependent."""
+    D = draw(st.sampled_from([2, 3, 5]))
+    w1, w2 = draw(field_elements(D)), draw(field_elements(D))
+    if draw(st.booleans()):
+        return [w1, w2], (w2 / w1).b == 0
+    m1, m2 = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    w3 = positive(m1 * w1 + m2 * w2)
+    return draw(st.permutations([w1, w2, w3])), True
+
+
+@given(generator_sets())
+@example(([QScalar(1), QScalar.sqrt(2)], False))
+@example(([QScalar(3, 0, 2), QScalar(0, 5, 2)], False))
+@example(([QScalar(1, 1, 3), QScalar(2, 2, 3)], True))
+def test_rank_decision_matches_construction(case):
+    omega, dependent = case
+    try:
+        LatticeSpec([omega])
+    except ResonantLatticeError as e:
+        assert dependent
+        assert_relation(omega, e.relation)
+    else:
+        assert not dependent
+        # no integer relation in a box, by direct QScalar arithmetic
+        for n in itertools.product(range(-4, 5), repeat=len(omega)):
+            if any(n):
+                assert not sum((c * w for c, w in zip(n, omega)), QScalar(0)).is_zero

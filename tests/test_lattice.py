@@ -195,7 +195,8 @@ def test_nonresonance_positive_witness(sqrt2_spec):
 
 
 def test_nonresonance_detects_rational_dependence():
-    spec = LatticeSpec([[QScalar(1), QScalar(2)]])  # passes the H=1 witness
+    # built unchecked: construction itself refuses this dependent lattice
+    spec = LatticeSpec([[QScalar(1), QScalar(2)]], check_height=0)
     with pytest.raises(ResonantLatticeError) as info:
         nonresonance_check(spec, 2)
     assert tuple(sorted(np.abs(info.value.relation))) == (1, 2)
@@ -213,7 +214,7 @@ def test_float_mode_near_zero_flagged():
 
 def test_resonant_construction_rejected():
     with pytest.raises(ResonantLatticeError):
-        LatticeSpec([[QScalar(1), QScalar(1)]])  # caught by the H=1 witness
+        LatticeSpec([[QScalar(1), QScalar(1)]])  # the relation (1, -1)
 
 
 def test_json_roundtrip(sqrt2_spec, sqrt23_spec):

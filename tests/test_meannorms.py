@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,15 +9,20 @@ import pytest
 from qpwave import (
     BudgetError,
     DispersionSymbol,
+    LatticeSpec,
+    Linspace,
     MixedNormSpec,
+    QScalar,
     TrigPoly,
     fit_exponent,
+    integer_lattice,
     lp_norm_exact,
     lp_norm_numeric,
     mean_value,
     mean_value_numeric,
     mixed_norm_free,
     predicted_exponent,
+    sqrt2_lattice,
 )
 from qpwave import meannorms
 from qpwave.evolution import propagate
@@ -74,6 +80,60 @@ def test_lp_exact_vs_numeric_random(sqrt2_spec):
         assert abs(numeric - exact) / exact < 0.05
 
 
+# criterion 7 across lattice families, on data shaped like the benchmark's
+# (4-8 modes in the box 3)
+C7_SPECS = {
+    "sqrt2": sqrt2_lattice(),
+    "sqrt3": LatticeSpec([[QScalar(1), QScalar.sqrt(3)]]),
+    "integer": integer_lattice(),
+    "float_rank2": LatticeSpec([[1.0, math.sqrt(2.0)]]),
+    "float_rank3": LatticeSpec([[1.0, math.sqrt(2.0), math.sqrt(3.0)]]),
+}
+C7_MODES = {
+    "integer": (4, 6),  # the box holds 7 indices
+    # 6 and 8 modes size grids of 1.5e7 and 7.1e7 samples, over the default budget
+    "float_rank3": (4,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(C7_SPECS))
+def test_criterion7_auto_window_across_families(name):
+    spec = C7_SPECS[name]
+    for m in C7_MODES.get(name, (4, 6, 8)):
+        f = random_poly(spec, m, np.random.default_rng(100 + m), box=3)
+        for p in (4, 6):
+            exact = lp_norm_exact(f, p)
+            assert abs(lp_norm_numeric(f, p) - exact) <= 0.05 * exact
+
+
+def _distinct_sum_gap(f, k):
+    """Smallest spacing of the float frequencies of the distinct k-fold index
+    sums of f, enumerated by itertools (0 for a single sum)."""
+    rows = itertools.combinations_with_replacement(f.as_arrays()[0].tolist(), k)
+    sums = sorted({tuple(map(sum, zip(*row))) for row in rows})
+    lam = np.sort(f.spec.freq_float(np.array(sums)))
+    return float(np.diff(lam).min()) if len(lam) > 1 else 0.0
+
+
+@pytest.mark.parametrize("name", sorted(C7_SPECS))
+def test_auto_window_is_sized_by_the_distinct_sum_gap(name, monkeypatch):
+    windows = []
+
+    def record(f, L, n, term=None):
+        windows.append(L)
+        return 1.0
+
+    monkeypatch.setattr(meannorms, "_trapezoid_mean", record)
+    spec, rng = C7_SPECS[name], np.random.default_rng(30)
+    # one mode: a single sum, so the 1e3 fallback
+    for m in (1,) + C7_MODES.get(name, (4, 6, 8)):
+        f = random_poly(spec, m, rng, box=3)
+        for p in (2, 4, 6):
+            lp_norm_numeric(f, p)
+            gap = _distinct_sum_gap(f, p // 2)
+            assert windows.pop() == (1e4 / gap if gap > 0 else 1e3)
+
+
 def test_lp_numeric_constant(int_spec):
     f = TrigPoly(int_spec, {(0,): -2.5 + 0.0j})
     for L in (10.0, 100.0):
@@ -105,13 +165,13 @@ def _window_of_size(f, n, per_period=8):
 
 
 def _linspace_power(f, p, L, per_period):
-    """|f|^p on a materialised linspace grid of lp_norm_numeric's size."""
-    v = f.evaluate(np.linspace(-L, L, _grid_size(f, L, per_period)))
+    """|f|^p on the Linspace grid of lp_norm_numeric's size."""
+    v = f.evaluate(Linspace(-L, L, _grid_size(f, L, per_period)))
     return (v.real**2 + v.imag**2) ** (p / 2)
 
 
 def _quadrature_reference(f, p, L, per_period=8):
-    """lp_norm_numeric's documented recipe on a materialised linspace grid:
+    """lp_norm_numeric's documented recipe on its Linspace grid:
     |f|^p summed in chunks of SUM_CHUNK samples, the chunk sums and minus
     half of the two endpoint values added by math.fsum, over n - 1."""
     vals = _linspace_power(f, p, L, per_period)
@@ -179,7 +239,7 @@ def test_mean_value_numeric_matches_linspace_trapezoid(sqrt2_spec):
     for L, points in ((2000.0, 200_001), (37.5, 1001), (1.0, 2)):
         f = random_poly(sqrt2_spec, 8, rng, box=3) + TrigPoly.single(sqrt2_spec, (0, 0), 1.5)
         xs = np.linspace(-L, L, points)
-        want = np.trapezoid(f.evaluate(xs), xs) / (2 * L)
+        want = np.trapezoid(f.evaluate(Linspace(-L, L, points)), xs) / (2 * L)
         mass = float(np.abs(f.as_arrays()[1]).sum())
         assert abs(mean_value_numeric(f, L=L, points=points) - want) <= 1e-14 * mass
 
@@ -234,13 +294,13 @@ def test_lp_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch, work
 def test_lp_numeric_refuses_bad_order_or_resolution(
     sqrt2_spec, monkeypatch, p, per_period, match
 ):
-    # refused before the gap scan or any sampling, with or without a window
+    # refused before the window sizing or any sampling, with or without a window
     f = TrigPoly(sqrt2_spec, {(1, 0): 1.0, (0, 1): 0.5j})
 
     def no_work(*args, **kwargs):
         raise AssertionError("worked before validating its arguments")
 
-    monkeypatch.setattr(meannorms, "_tuple_sum_gap", no_work)
+    monkeypatch.setattr(meannorms, "_tuple_power", no_work)
     monkeypatch.setattr(TrigPoly, "evaluate", no_work)
     for g, L in ((f, None), (f, 100.0), (TrigPoly.zero(sqrt2_spec), None)):
         with pytest.raises(ValueError, match=match):
@@ -427,8 +487,10 @@ def test_mixed_norm_free_d2():
 
 
 def test_lp_numeric_window_at_large_height(sqrt2_spec):
-    # equal 3-fold frequency sums near 1e4 differ by roundoff (~1e-12); taken
-    # for the smallest gap, they sized the window for a 1e20-point grid
+    # one 3-fold index sum reached in different orders has float frequency sums
+    # near 1e4 that differ by roundoff (~1e-12); taken for the smallest gap,
+    # they would size the window for a 1e20-point grid, so the window is sized
+    # from the distinct index sums
     f = random_poly(sqrt2_spec, 5, np.random.default_rng(4), box=10**4)
     exact = lp_norm_exact(f, 6)
     assert lp_norm_numeric(f, 6) == pytest.approx(exact, rel=0.05)
