@@ -1,11 +1,10 @@
-"""Shared array kernels: index packing, grouped reduction, exact surd signs, and
+"""Shared array kernels: row grouping, grouped reduction, exact surd signs, and
 phi1(theta) = (e^{i theta} - 1)/(i theta) of a real phase theta: the mean of
 e^{i r s} over s in [0, T] at theta = r T, evaluated in real arithmetic.
 
-All reductions here are deterministic: rows are ordered by a stable sort of
-row-tagged keys (``stable_order``: packed int64 keys, lexicographic row
-order, each tagged with its row number) before ``reduceat``, so results do
-not depend on input order.
+All reductions here are deterministic: rows are ordered by one stable
+lexicographic sort (``sort_rows``: packed int64 keys, each tagged with its
+row number) before ``reduceat``, so results do not depend on input order.
 """
 
 from __future__ import annotations
@@ -13,58 +12,40 @@ from __future__ import annotations
 import numpy as np
 
 
-def pack_rows(idx: np.ndarray) -> np.ndarray:
-    """Pack integer rows (M, r) into single int64 keys that order as the rows
-    do lexicographically.
+def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts) of an (n, r) integer array, or of a 1-d array taken as
+    one column: the stable lexicographic argsort of the rows, and the offsets
+    in that order where each run of equal rows begins.
 
-    Each column is offset by its own minimum and takes the bits of its own
-    range [min, max], so a wide column does not widen the others and keys are
-    only comparable within one call.  Falls back to a lexicographic rank when
-    the ranges together need more than 62 bits.
+    Each column is offset by its own minimum and packed into the bits of its
+    own range; the row number is tagged into the low b = bit_length(n - 1)
+    bits, so all keys are distinct and one plain sort returns the stable
+    order.  Rows whose column bits and tag together exceed 63 bits are first
+    replaced by their dense lexicographic rank, which is below n.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim == 1:
-        idx = idx[:, None]
-    m, r = idx.shape
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    # column by column: an axis=0 reduction over (M, r) rows is slower
-    cols = [idx[:, j] for j in range(r)]
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    n = len(rows)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    b = (n - 1).bit_length()
+    # column by column: an axis=0 reduction over (n, r) rows is slower
+    cols = [rows[:, j] for j in range(rows.shape[1])]
     lows = [int(c.min()) for c in cols]
     bits = [(int(c.max()) - lo).bit_length() for c, lo in zip(cols, lows)]
-    if sum(bits) <= 62:
-        out = cols[0] - lows[0]
-        for c, lo, b in zip(cols[1:], lows[1:], bits[1:]):
-            out <<= b
-            out += c - lo
-        return out
-    # rank fallback: unique rows -> dense ids
-    _, inv = np.unique(idx, axis=0, return_inverse=True)
-    return inv.astype(np.int64)
-
-
-def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, sorted keys) of non-negative int64 keys: the stable argsort and
-    keys[order], by one plain sort of row-tagged keys.
-
-    Each key is shifted left by b = bit_length(n - 1) bits and its row number
-    ORed into the freed bits, so all tagged keys are distinct and any sort
-    returns them in the stable order; the low bits are the order and the high
-    bits the sorted keys.  Keys too wide for the tag (key bits + b > 63) are
-    first replaced by their dense rank.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    n = len(keys)
-    b = max(n - 1, 0).bit_length()
-    uniq = None
-    if n and int(keys.max()).bit_length() + b > 63:
-        uniq, keys = np.unique(keys, return_inverse=True)
-    tagged = keys << b
-    tagged |= np.arange(n)
-    tagged.sort()
-    order = tagged & ((1 << b) - 1)
-    tagged >>= b
-    return order, tagged if uniq is None else uniq[tagged]
+    if sum(bits) + b > 63:
+        cols, lows = [np.unique(rows, axis=0, return_inverse=True)[1].reshape(n)], [0]
+    key = cols[0] - lows[0]
+    for c, lo, w in zip(cols[1:], lows[1:], bits[1:]):
+        key <<= w
+        key += c - lo
+    key <<= b
+    key |= np.arange(n)
+    key.sort()
+    order = key & ((1 << b) - 1)
+    key >>= b
+    return order, group_boundaries(key)
 
 
 def group_boundaries(sorted_keys: np.ndarray) -> np.ndarray:
@@ -87,14 +68,10 @@ def group_sum(idx: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim == 1:
         idx = idx[:, None]
-    if len(idx) == 0:
+    order, starts = sort_rows(idx)
+    if len(starts) == len(idx) and (order[1:] > order[:-1]).all():  # every group is one row
         return idx, np.asarray(values)
-    keys = pack_rows(idx)
-    if (keys[1:] > keys[:-1]).all():  # already sorted and unique: every group is one row
-        return idx, np.asarray(values)
-    order, keys = stable_order(keys)
-    cuts = group_boundaries(keys)
-    return idx[order[cuts]], np.add.reduceat(np.asarray(values)[order], cuts)
+    return idx[order[starts]], np.add.reduceat(np.asarray(values)[order], starts)
 
 
 def surd_sign(a, b, D: int) -> np.ndarray:

@@ -62,14 +62,13 @@ class LatticeSpec:
     (``ResonantLatticeError``, naming a primitive one): on an exact lattice by
     a complete rank test of each block's columns (A_j, B_j) over Q, so a block
     has at most two generators (one over Q); on a float lattice by
-    ``nonresonance_check`` on the box |n|_inf <= ``check_height``.
-    ``check_height=0`` builds any lattice unchecked.
+    ``nonresonance_check`` on the box |n|_inf <= 1.
     """
 
     __slots__ = ("d", "nu", "omega", "exact", "_float_omega", "_blocks", "den", "radicand",
                  "_coords")
 
-    def __init__(self, omega, d: int | None = None, check_height: int = 1):
+    def __init__(self, omega, d: int | None = None):
         # omega: list of per-dimension generator vectors; a flat vector means d=1
         if omega and not isinstance(omega[0], (list, tuple)):
             omega = [list(omega)]
@@ -115,10 +114,10 @@ class LatticeSpec:
         object.__setattr__(
             self, "_blocks", tuple(slice(starts[i], starts[i + 1]) for i in range(d))
         )
-        if check_height > 0 and exact:
+        if exact:
             _refuse_relations(coords)
-        elif check_height > 0:
-            nonresonance_check(self, check_height)
+        else:
+            nonresonance_check(self, 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeSpec is immutable")
@@ -181,15 +180,16 @@ class LatticeSpec:
         Each component is summed column by column in generator order,
         idx[:, 0] * w0 + idx[:, 1] * w1 + ..., so a row's value does not
         depend on the rows batched with it (a BLAS dot product may round a
-        row differently by its place in the array).
+        row differently by its place in the array).  Each product is written
+        into one scratch buffer and added to the component in place.
         """
         idx = np.asarray(idx, dtype=np.int64)
-        cols = []
+        cols, term = [], np.empty(len(idx))
         for i in range(self.d):
             sub, w = idx[:, self.block(i)], self._float_omega[i]
             acc = sub[:, 0] * w[0]
             for j in range(1, len(w)):
-                acc += sub[:, j] * w[j]
+                acc += np.multiply(sub[:, j], w[j], out=term)
             cols.append(acc)
         return cols[0] if self.d == 1 else np.stack(cols, axis=1)
 
@@ -378,9 +378,10 @@ def _dim_box_min(spec, i, H):
     """Min |frequency| over the punctured box |m|_inf <= H in dimension block i.
 
     Returns (min value as float, argmin index tuple).  In exact mode the rows
-    near the float minimum are decided on their integer coordinates: a zero
-    (P = Q = 0) raises, the minimiser is chosen on cancellation-free floats,
-    and its exact value is returned correctly rounded.
+    near the float minimum are decided on their integer coordinates (none is
+    zero: construction refused dependent generators), the minimiser is chosen
+    on cancellation-free floats, and its exact value is returned correctly
+    rounded.
     """
     rank = spec.nu[i]
     idx = _box_grid(rank, H)
@@ -391,13 +392,6 @@ def _dim_box_min(spec, i, H):
     if spec.exact:
         rows = idx[vals <= max(scale, vals[j] * (1 + 1e-9))]
         P, Q = (X.astype(object) for X in spec.exact_coords(rows, i))
-        zero = np.flatnonzero((P == 0) & (Q == 0))
-        if len(zero):
-            relation = tuple(int(x) for x in rows[zero[0]])
-            raise ResonantLatticeError(
-                f"generators of dimension {i} satisfy the integer relation {relation}",
-                relation=relation,
-            )
         # |P + Q sqrt D| without cancellation: |P^2 - D Q^2| / (|P| + |Q| sqrt D) on mixed signs
         D = spec.radicand
         size = np.abs(P).astype(float) + np.abs(Q).astype(float) * math.sqrt(D)
@@ -425,9 +419,10 @@ class NonResonanceResult:
 def nonresonance_check(spec: LatticeSpec, H: int) -> NonResonanceResult:
     """Smallest |frequency| over nonzero indices in the box |n|_inf <= H.
 
-    Exact mode either returns a strictly positive witness or raises
-    ``ResonantLatticeError`` with the integer relation; float mode raises when
-    the minimum falls below the coincidence tolerance.
+    Exact mode returns a strictly positive witness (a dependent exact lattice
+    is refused at construction); float mode raises ``ResonantLatticeError``
+    when the minimum falls below the coincidence tolerance, and construction
+    runs this check at H = 1.
     """
     if H < 1:
         raise ValueError("H must be >= 1")

@@ -11,9 +11,8 @@ factors side by side).  A factor repeated from the one before it
 (``mixed_norm_free`` passes [f] * k) is enumerated as multisets of rows, each
 once with its multinomial weight, so [f, f] builds M(M+1)/2 rows instead of
 M^2.  The rows are grouped once: sorted by index sum and, on an exact
-lattice, merged by phase key through one stable sort of row-tagged keys
-(``kernels.stable_order`` on a single packed int64 key); neither norm sorts
-them again for that.
+lattice, merged by phase key through one stable lexicographic sort of the
+rows (``kernels.sort_rows``); neither norm sorts them again for that.
 
 The windowed space-time norm of a free evolution carries one time integral
 per pair of tuples with equal index sum, T phi1(T(r_i - r_j)) with the real
@@ -43,7 +42,7 @@ import numpy as np
 from . import budget as _budget
 from .errors import NumericConsistencyError
 from .evolution import DispersionSymbol
-from .kernels import group_boundaries, pack_rows, phi1, stable_order
+from .kernels import group_boundaries, phi1, sort_rows
 from .trigpoly import FLOAT_SUM_TOL, Linspace, TrigPoly, multiply
 
 __all__ = [
@@ -272,11 +271,11 @@ def _fold_tuple_data(datas, scales=None):
     ragged outer product of per-factor row-number columns (np.repeat plus
     offsets); every output column is a gather, and rates of a repeated factor
     are summed in sorted-row order, so orderings agree bitwise.  On exact
-    lattices one stable sort of row-tagged keys (``stable_order`` on one
-    packed int64 key of (index sum, phase key)) groups the rows, and equal
-    rows merge: the first keeps its rate, the values add.  Float rows are
-    sorted by index sum only, by the same kernel.  The work estimate
-    stays the ordered count, the product of the factor sizes.
+    lattices one stable lexicographic sort of the rows (index sum, phase key)
+    (``sort_rows``) groups them, and equal rows merge: the first keeps its
+    rate, the values add.  Float rows are sorted by index sum only, by the
+    same kernel.  The work estimate stays the ordered count, the product of
+    the factor sizes.
     """
     exact = datas[0][3] is not None
     if exact:
@@ -319,11 +318,10 @@ def _fold_tuple_data(datas, scales=None):
     table = np.empty((len(val), ints[0].shape[1]), dtype=np.int64)
     for j in range(table.shape[1]):
         table[:, j] = gather([x[:, j] for x in ints])
-    order, packed = stable_order(pack_rows(table))
+    order, cuts = sort_rows(table)
     if not exact:
         scale = None if scales is None else gather(scales)[order]
         return np.take(table, order, axis=0), val[order], rate[order], scale
-    cuts = group_boundaries(packed)
     first = order[cuts]
     table, rank = np.take(table, first, axis=0), datas[0][0].shape[1]
     return table[:, :rank], np.add.reduceat(val[order], cuts), rate[first], table[:, rank:]
@@ -388,15 +386,11 @@ def windowed_product_norm_sq(polys, symbol, T) -> float:
 
 
 def _group_rate_order(group, rate):
-    """The stable order of rows by (group, rate), as np.lexsort((rate, group)),
-    by one stable sort of row-tagged keys (``stable_order``) of the int64 key
-    group * n + dense rate rank (equal rates share a rank).  The key is below
-    n^2, and n <= 1e8 (the tuple table's memory cap), so it fits in int64."""
-    n = len(rate)
-    by_rate = np.argsort(rate)
-    dense = np.empty(n, dtype=np.int64)
-    dense[by_rate] = np.cumsum(np.r_[False, np.diff(rate[by_rate]) != 0])
-    return stable_order(group * n + dense)[0]
+    """The stable order of rows by (group, rate), as np.lexsort((rate, group)):
+    ``sort_rows`` of the columns (group, dense rate rank), where equal rates
+    share a rank."""
+    dense = np.unique(rate, return_inverse=True)[1]
+    return sort_rows(np.stack([group, dense], axis=1))[0]
 
 
 def global_product_norm_sq(polys, symbol) -> float:

@@ -41,7 +41,7 @@ import numpy as np
 from . import budget as _budget
 from .errors import NonContractionError
 from .evolution import DispersionSymbol
-from .kernels import group_boundaries, phi1, stable_order
+from .kernels import phi1, sort_rows
 from .lattice import ball_indices
 from .meannorms import _fold_tuple_data, evolved_factor_data
 from .trigpoly import TrigPoly, multiply, project_ball
@@ -95,6 +95,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0 or self.picard_tol <= 0:
             raise ValueError("dt, T, picard_tol must be positive")
+        if self.max_picard < 2:
+            raise ValueError("max_picard must be >= 2: a contraction ratio needs two sweeps")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
         if self.power < 2:
@@ -315,7 +317,9 @@ def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps, guess=None):
     arrays.  rhs(stage array) -> (duhamel right-hand sides, one row per
     stage; largest squared norm a row lost to truncation), called once per
     sweep.  The sweeps start from ``guess`` (node states in this step's
-    interaction picture), or from the constant u_vec when it is None.
+    interaction picture), or from the constant u_vec when it is None.  At
+    least two sweeps run, so the contraction ratio (0.0 after an exactly zero
+    update) is always measured.
     Returns (vector at step end, sweeps, last contraction ratio, rhs loss of
     the last sweep, starting guess for a next step of the same size).  The
     last sweep's right-hand sides build the step's end vector, so its loss
@@ -336,11 +340,14 @@ def _step_vectors(u_vec, dt, rates, rhs, tol, max_sweeps, guess=None):
         if not math.isfinite(diff):
             diff = math.inf
         w = w_new
-        if prev_diff is not None and prev_diff > 0:
-            ratio = diff / prev_diff if math.isfinite(prev_diff) else math.inf
+        if prev_diff is not None:
+            if prev_diff == 0:
+                ratio = 0.0
+            else:
+                ratio = diff / prev_diff if math.isfinite(prev_diff) else math.inf
+            if diff < tol:  # a step converged on its first sweep runs one more for its ratio
+                break
         prev_diff = diff
-        if diff < tol:
-            break
     else:
         raise NonContractionError(
             f"Picard sweeps did not reach tol={tol} in {max_sweeps} iterations "
@@ -432,8 +439,8 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     chunks of about 2M elements.  An output index is keyed by its
     mixed-radix code over the range of the output sums, which is linear in
     the summands (folded row code plus last-factor code), so no output index
-    rows are built: each chunk is grouped by one stable sort of row-tagged
-    keys (``kernels.stable_order``), the output rates are evaluated once per
+    rows are built: each chunk's codes are grouped by one stable sort
+    (``kernels.sort_rows``), the output rates are evaluated once per
     distinct output, and the sums of several chunks add up in
     ``TrigPoly.from_arrays``.  A code range beyond int64 raises ValueError.
     The work budget is checked on the ordered count len(f)^(2 power - 1).
@@ -466,11 +473,11 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     parts_idx, parts_val = [], []
     for k in range(0, len(base_val), chunk):
         sl = slice(k, k + chunk)
-        order, keys = stable_order(np.add.outer(base_key[sl], last_key).ravel())
-        cuts = group_boundaries(keys)
-        out_idx = keys[cuts, None] // strides % radix + lo
-        sizes = np.diff(np.r_[cuts, len(keys)])
-        del keys  # the sorted keys are spent: free them before phi1 runs
+        codes = np.add.outer(base_key[sl], last_key).ravel()
+        order, cuts = sort_rows(codes)
+        out_idx = codes[order[cuts], None] // strides % radix + lo
+        sizes = np.diff(np.r_[cuts, len(codes)])
+        del codes  # the codes are spent: free them before phi1 runs
         # rows gathered into key order, then worked on in place; the operands
         # keep the order of t * phi1(t * mismatch) and values * that
         theta = np.add.outer(base_rate[sl], last_rate).ravel()[order]

@@ -103,10 +103,10 @@ def strichartz_scan(
     T: float = 0.1,
     trials: int = 4,
     seed: int = 0,
-    symbol: DispersionSymbol | None = None,
     max_support: int = DEFAULT_MAX_SUPPORT,
 ) -> ScanReport:
-    """Windowed space-time norm against T^(1/8) times the mean-L^2 norm.
+    """Windowed space-time norm against T^(1/8) times the mean-L^2 norm of the
+    free Schroedinger evolution.
 
     Rows carry the per-shell maximum ratio over all trial data (including the
     concentration family); ``extra`` carries the family's own ratios and
@@ -116,7 +116,7 @@ def strichartz_scan(
     """
     if spec.d != 1:
         raise ValueError("strichartz_scan requires d = 1")
-    symbol = symbol or DispersionSymbol.schrodinger()
+    symbol = DispersionSymbol.schrodinger()
     mspec = MixedNormSpec(p=4, time_mode="window", T=T)
     denom_pow = T**0.125
 

@@ -345,7 +345,7 @@ class DictPoly:
 
 def float_twin(f: TrigPoly) -> TrigPoly:
     """The same data on the float-mode copy of an exact lattice."""
-    spec = LatticeSpec([[float(x) for x in b] for b in f.spec.omega], check_height=0)
+    spec = LatticeSpec([[float(x) for x in b] for b in f.spec.omega])
     return TrigPoly(spec, dict(f.items()))
 
 

@@ -143,7 +143,7 @@ def test_phase_key_overflow_raises(sqrt2_spec):
 def test_float_mode_has_no_keys():
     from qpwave import LatticeSpec
 
-    spec = LatticeSpec([[1.0, math.sqrt(2.0)]], check_height=0)
+    spec = LatticeSpec([[1.0, math.sqrt(2.0)]])
     f = TrigPoly.single(spec, (1, 1))
     assert SCHROD.phase_rate_keys(f) is None
     assert DispersionSymbol.polynomial([1.0, 2.0]).phase_rate_keys(f) is None

@@ -1,12 +1,12 @@
 """The phi1 kernel: (e^{i theta} - 1)/(i theta) for real theta, against a
 50-digit reference, bitwise against the formula with separate temporaries,
-its peak memory and its refusal of complex arguments; the stable sort of
-row-tagged keys against numpy's stable argsort."""
+its peak memory and its refusal of complex arguments; the grouping sort of
+integer rows against numpy's lexsort."""
 
 import numpy as np
 import pytest
 
-from qpwave.kernels import phi1, stable_order
+from qpwave.kernels import phi1, sort_rows
 
 EPS = np.finfo(float).eps
 
@@ -95,24 +95,34 @@ def test_phi1_refuses_complex_arguments(z):
         phi1(z)
 
 
-def test_stable_order_matches_stable_argsort():
+def test_sort_rows_matches_lexsort():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # few distinct values give ties; keys near 2^62 leave no room for the row
-    # tag and take the dense-rank path
-    key = st.one_of(st.integers(0, 3), st.integers(0, 2**40), st.integers(2**61, 2**62))
+    # few distinct values give ties; values near +-2^62 leave no room for the
+    # row tag and take the dense-rank path
+    value = st.one_of(
+        st.integers(-3, 3), st.integers(-(2**40), 2**40), st.integers(2**61, 2**62),
+        st.integers(-(2**62), -(2**61)),
+    )
+    table = st.integers(1, 3).flatmap(
+        lambda r: st.lists(st.lists(value, min_size=r, max_size=r), max_size=200).map(
+            lambda rows: np.array(rows, dtype=np.int64).reshape(-1, r)
+        )
+    )
 
-    @hypothesis.given(st.lists(key, max_size=200))
-    @hypothesis.example([])
-    @hypothesis.example([5])
-    @hypothesis.example([2**62])
-    @hypothesis.example([2**62, 0, 2**62, 1])
-    def check(keys):
-        keys = np.array(keys, dtype=np.int64)
-        order, sorted_keys = stable_order(keys)
-        want = np.argsort(keys, kind="stable")
-        assert order.dtype == sorted_keys.dtype == np.int64
+    @hypothesis.given(table)
+    @hypothesis.example(np.zeros((0, 2), dtype=np.int64))
+    @hypothesis.example(np.array([[5]]))
+    @hypothesis.example(np.array([[2**62], [0]]))  # 63 column bits + 1 tag bit: the rank path
+    @hypothesis.example(np.array([[2**62, -(2**62)], [0, 0], [2**62, -(2**62)], [0, 1]]))
+    def check(rows):
+        order, starts = sort_rows(rows)
+        want = np.lexsort(rows.T[::-1])
         assert np.array_equal(order, want)
-        assert np.array_equal(sorted_keys, keys[want])
+        ordered = rows[want]
+        new = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)] if len(rows) else []
+        assert np.array_equal(starts, np.flatnonzero(new))
+        if rows.shape[1] == 1:  # a 1-d array is one column
+            assert all(np.array_equal(x, y) for x, y in zip(sort_rows(rows[:, 0]), (order, starts)))
 
     check()

@@ -34,7 +34,7 @@ def test_freq_shape_mismatch(sqrt2_spec):
 
 
 def test_density_parameter():
-    spec = LatticeSpec([[1.0, SQRT2], [1.0, 1.5, 1.9]], check_height=0)
+    spec = LatticeSpec([[1.0, SQRT2], [1.0, 1.5, 1.9]])
     assert spec.d == 2
     assert spec.nu == (2, 3)
     assert spec.b == 1 + 2
@@ -194,20 +194,12 @@ def test_nonresonance_positive_witness(sqrt2_spec):
     assert res.min_abs == pytest.approx(oracle, rel=1e-9)
 
 
-def test_nonresonance_detects_rational_dependence():
-    # built unchecked: construction itself refuses this dependent lattice
-    spec = LatticeSpec([[QScalar(1), QScalar(2)]], check_height=0)
-    with pytest.raises(ResonantLatticeError) as info:
-        nonresonance_check(spec, 2)
-    assert tuple(sorted(np.abs(info.value.relation))) == (1, 2)
-
-
 def test_nonresonance_integer_lattice(int_spec):
     assert nonresonance_check(int_spec, 100).min_abs == 1.0
 
 
 def test_float_mode_near_zero_flagged():
-    spec = LatticeSpec([[1.0, 2.0 + 1e-15]], check_height=0)
+    spec = LatticeSpec([[1.0, 2.0 + 1e-15]])
     with pytest.raises(ResonantLatticeError):
         nonresonance_check(spec, 2)
 
@@ -215,6 +207,13 @@ def test_float_mode_near_zero_flagged():
 def test_resonant_construction_rejected():
     with pytest.raises(ResonantLatticeError):
         LatticeSpec([[QScalar(1), QScalar(1)]])  # the relation (1, -1)
+
+
+def test_dependent_lattice_refused_from_dict():
+    # every construction path runs the rank test: (1, 2) has the relation (2, -1)
+    with pytest.raises(ResonantLatticeError) as info:
+        LatticeSpec.from_dict({"d": 1, "nu": [2], "omega": [[1, 2]]})
+    assert tuple(sorted(np.abs(info.value.relation))) == (1, 2)
 
 
 def test_json_roundtrip(sqrt2_spec, sqrt23_spec):

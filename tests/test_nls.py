@@ -310,7 +310,7 @@ def _reference_step(u_vec, dt, rates, rhs, tol, max_sweeps):
         ]
         diff = max(np.linalg.norm(x - y) for x, y in zip(new, w))
         w = new
-        if diff < tol:
+        if diff < tol and sweep > 1:
             break
     end = u_vec + dt * (b[0] * f[0] + b[1] * f[1] + b[2] * f[2] + b[3] * f[3])
     return end * np.exp(1j * dt * rates), sweep
@@ -455,6 +455,20 @@ def test_truncation_warning(sqrt2_spec):
     u0 = 2.0 * random_poly(sqrt2_spec, 10, rng, box=2, unit=True)
     with pytest.warns(UserWarning, match="truncation"):
         solve(u0, SolverConfig(trunc_height=4, dt=1e-3, T=5e-3))
+
+
+def test_steps_converged_on_a_first_sweep_record_a_ratio(sqrt2_spec):
+    # one mode: after the first step the guess already lies within picard_tol,
+    # so the step runs a second sweep to measure its contraction ratio
+    u0 = TrigPoly.single(sqrt2_spec, (2, 1), 0.7 + 0.2j)
+    res = solve(u0, SolverConfig(4, dt=1e-3, T=0.01))
+    for r in res.trace:
+        assert r.picard_iters >= 2
+        assert all(math.isfinite(x) for x in (r.t, r.mass, r.hs_norm, r.trunc_loss, r.contraction))
+    zero = solve(TrigPoly.zero(sqrt2_spec), SolverConfig(4, dt=1e-3, T=2e-3))
+    assert [r.contraction for r in zero.trace] == [0.0, 0.0]
+    with pytest.raises(ValueError, match="max_picard"):
+        SolverConfig(4, dt=1e-3, T=0.01, max_picard=1)
 
 
 @pytest.mark.filterwarnings("ignore:Galerkin truncation")

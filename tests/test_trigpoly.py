@@ -214,7 +214,7 @@ def test_extremizer_degenerate_flagged():
     # huge last generator: no last coordinate can pull the frequency into [-1,1]
     from qpwave import LatticeSpec
 
-    spec = LatticeSpec([[1.0, 97.13]], check_height=0)
+    spec = LatticeSpec([[1.0, 97.13]])
     with pytest.raises(DegenerateExtremizerError):
         extremizer(spec, 8)
 
