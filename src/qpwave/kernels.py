@@ -68,10 +68,26 @@ def group_sum(idx: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim == 1:
         idx = idx[:, None]
-    order, starts = sort_rows(idx)
-    if len(starts) == len(idx) and (order[1:] > order[:-1]).all():  # every group is one row
+    if _rows_increase(idx):  # every group is one row, already in order: no sort
         return idx, np.asarray(values)
+    order, starts = sort_rows(idx)
     return idx[order[starts]], np.add.reduceat(np.asarray(values)[order], starts)
+
+
+def _rows_increase(rows: np.ndarray) -> bool:
+    """Whether the rows of an (n, r) array strictly increase lexicographically.
+    Column 0 is tested for non-decreasing first, which rejects most unsorted
+    tables in one pass; then column by column, a row exceeds the one before
+    it at the first column where they differ."""
+    first = rows[:, 0]
+    if not (first[1:] >= first[:-1]).all():
+        return False
+    greater = first[1:] > first[:-1]
+    tied = ~greater
+    for c in rows.T[1:]:
+        greater |= tied & (c[1:] > c[:-1])
+        tied &= c[1:] == c[:-1]
+    return bool(greater.all())
 
 
 def surd_sign(a, b, D: int) -> np.ndarray:

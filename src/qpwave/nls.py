@@ -58,6 +58,11 @@ __all__ = [
 ]
 
 TRUNCATION_WARN_FRACTION = 1e-6
+# Elements (folded row x last factor pairs) per chunk of the Picard pairing:
+# a chunk peaks at about 64 B per element (codes, sort keys and order, theta,
+# complex values and contributions, the phi1 temporaries), about 2 MB, so it
+# stays within a typical 2 MiB per-core L2 cache.
+PAIR_CHUNK = 1 << 15
 
 # 4-point Gauss-Legendre collocation on [0, 1]
 _X, _W = np.polynomial.legendre.leggauss(4)
@@ -427,6 +432,17 @@ def solve(
 # -- the first Picard iterate, exactly ------------------------------------------------
 
 
+def _fold_codes(codes: list, sums: list) -> tuple[np.ndarray, np.ndarray]:
+    """One (code, sum) pair per distinct code of the concatenated parts, in
+    ascending code order; the sums of one code add up in part order.  One
+    part, as a chunk leaves it, is already in that form."""
+    if len(codes) == 1:
+        return codes[0], sums[0]
+    codes, sums = np.concatenate(codes), np.concatenate(sums)
+    order, starts = sort_rows(codes)
+    return codes[order[starts]], np.add.reduceat(sums[order], starts)
+
+
 def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     """Closed-form Duhamel integral of the free-evolution nonlinearity.
 
@@ -436,16 +452,19 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     plain factors stand side by side, so the tuple fold enumerates their
     multisets once each with its multinomial weight (about half the rows at
     power 2); the last conjugated factor is paired with the folded rows in
-    chunks of about 2M elements.  An output index is keyed by its
-    mixed-radix code over the range of the output sums, which is linear in
-    the summands (folded row code plus last-factor code), so no output index
-    rows are built: each chunk's codes are grouped by one stable sort
-    (``kernels.sort_rows``), the output rates are evaluated once per
-    distinct output, and the sums of several chunks add up in
-    ``TrigPoly.from_arrays``.  A code range beyond int64 raises ValueError.
-    The work budget is checked on the ordered count len(f)^(2 power - 1).
-    The outer free factor (unit modulus) and the -i Duhamel prefactor are
-    omitted; every norm of the result is unaffected.
+    chunks of PAIR_CHUNK elements (about 2 MB at the peak of a chunk).
+    An output index is keyed by its mixed-radix code over the range of the
+    output sums, which is linear in the summands (folded row code plus
+    last-factor code), so each chunk's codes are grouped by one stable sort
+    (``kernels.sort_rows``) and the output rates are evaluated once per
+    distinct output of the chunk.  The running sums are held as (output
+    code, value) pairs; whenever the parts since the last fold outgrow both
+    a chunk and the folded table, one more sort folds them, so they stay
+    within about twice the output size plus a chunk.  The output index rows
+    are decoded once, at the end.  A code range beyond int64 raises
+    ValueError.  The work budget is checked on the ordered count
+    len(f)^(2 power - 1).  The outer free factor (unit modulus) and the -i
+    Duhamel prefactor are omitted; every norm of the result is unaffected.
     """
     if t == 0 or not f:
         return TrigPoly.zero(f.spec)
@@ -469,27 +488,35 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     base_key = (base_idx - base_lo) @ strides
     last_key = (last_idx - last_lo) @ strides
 
-    chunk = max(1, int(2_000_000 / max(len(last_val), 1)))
-    parts_idx, parts_val = [], []
-    for k in range(0, len(base_val), chunk):
-        sl = slice(k, k + chunk)
+    def decode(codes):
+        return codes[:, None] // strides % radix + lo
+
+    step = max(1, PAIR_CHUNK // len(last_val))
+    held_codes, held_sums = [], []  # the folded table first, then newer parts
+    held = folded = 0
+    for k in range(0, len(base_val), step):
+        sl = slice(k, k + step)
         codes = np.add.outer(base_key[sl], last_key).ravel()
         order, cuts = sort_rows(codes)
-        out_idx = codes[order[cuts], None] // strides % radix + lo
+        out_code = codes[order[cuts]]
         sizes = np.diff(np.r_[cuts, len(codes)])
         del codes  # the codes are spent: free them before phi1 runs
         # rows gathered into key order, then worked on in place; the operands
         # keep the order of t * phi1(t * mismatch) and values * that
         theta = np.add.outer(base_rate[sl], last_rate).ravel()[order]
-        theta -= np.repeat(symbol.rates_for_indices(spec, out_idx), sizes)
+        theta -= np.repeat(symbol.rates_for_indices(spec, decode(out_code)), sizes)
         theta *= t
         contrib = phi1(theta)
         np.multiply(t, contrib, out=contrib)
         vals = np.multiply.outer(base_val[sl], last_val).ravel()[order]
         np.multiply(vals, contrib, out=contrib)
-        parts_idx.append(out_idx)
-        parts_val.append(np.add.reduceat(contrib, cuts))
-    # the chunks' sums of one output index add up in from_arrays
-    return TrigPoly.from_arrays(
-        spec, np.concatenate(parts_idx), np.concatenate(parts_val), prune=True
-    )
+        held_codes.append(out_code)
+        held_sums.append(np.add.reduceat(contrib, cuts))
+        held += len(out_code)
+        if held - folded > max(PAIR_CHUNK, folded):
+            codes, sums = _fold_codes(held_codes, held_sums)
+            held_codes, held_sums = [codes], [sums]
+            held = folded = len(codes)
+    codes, sums = _fold_codes(held_codes, held_sums)
+    # ascending codes decode to strictly increasing rows: from_arrays keeps them
+    return TrigPoly.from_arrays(spec, decode(codes), sums, prune=True)

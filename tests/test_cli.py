@@ -288,6 +288,20 @@ def test_averaged_check_cli(capsys):
     assert abs(json.loads(out)["slope"]) <= 0.1
 
 
+def test_averaged_check_cli_passes_the_symbol(capsys, tmp_path):
+    # --symbol reaches averaged_norm_check: the Airy law is recorded and its
+    # flat band holds
+    code, out, err = run(
+        capsys, "averaged-check", "--symbol", "airy", "--C", "8,16,32", "--trials", "1",
+        "--output", str(tmp_path / "av"),
+    )
+    assert code == 0, err
+    payload = json.loads((tmp_path / "av.json").read_text())
+    assert payload["config"]["symbol"] == "airy"
+    assert payload["bands"] and all(b["ok"] for b in payload["bands"])
+    assert abs(json.loads(out)["slope"]) <= 0.1
+
+
 def test_bilinear_scan_cli(capsys):
     code, out, err = run(
         capsys, "bilinear-scan", "--omega", "sqrt2", "--C1", "4,8,16",

@@ -1,12 +1,14 @@
 """The phi1 kernel: (e^{i theta} - 1)/(i theta) for real theta, against a
 50-digit reference, bitwise against the formula with separate temporaries,
 its peak memory and its refusal of complex arguments; the grouping sort of
-integer rows against numpy's lexsort."""
+integer rows against numpy's lexsort, and the grouped sum's no-sort path for
+rows that already strictly increase."""
 
 import numpy as np
 import pytest
 
-from qpwave.kernels import phi1, sort_rows
+from qpwave import kernels
+from qpwave.kernels import group_sum, phi1, sort_rows
 
 EPS = np.finfo(float).eps
 
@@ -124,5 +126,58 @@ def test_sort_rows_matches_lexsort():
         assert np.array_equal(starts, np.flatnonzero(new))
         if rows.shape[1] == 1:  # a 1-d array is one column
             assert all(np.array_equal(x, y) for x, y in zip(sort_rows(rows[:, 0]), (order, starts)))
+
+    check()
+
+
+def test_group_sum_keeps_increasing_rows_without_sorting(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("sort_rows ran on rows that already strictly increase")
+
+    monkeypatch.setattr(kernels, "sort_rows", refuse)
+    # ties in column 0 decided by a later column, a drop in column 1 after a
+    # rise in column 0, negative values; one row, and none
+    for rows in (
+        np.array([[-3, 9, 0], [-3, 9, 1], [-1, -5, 7], [-1, 2, -8], [4, -9, -9]]),
+        np.array([[0, 5], [1, 0], [1, 1], [2, -7]]),
+        np.array([[7]]),
+        np.zeros((0, 2), dtype=np.int64),
+    ):
+        values = np.arange(len(rows)) + 1j
+        got_rows, got_values = group_sum(rows, values)
+        assert got_rows is rows and got_values is values
+    column, values = np.array([-4, 0, 3, 8]), np.ones(4)  # a 1-d array is one column
+    got_rows, got_values = group_sum(column, values)
+    assert got_rows.base is column and got_values is values
+
+
+def test_group_sum_matches_lexsort_sums():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = st.integers(1, 3).flatmap(
+        lambda r: st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r), max_size=60)
+        .map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, r))
+    )
+
+    # rows as drawn, sorted on column 0 only (ties left to the later
+    # columns), or sorted and unique (the no-sort path)
+    @hypothesis.given(table, st.sampled_from(["drawn", "column0", "rows"]))
+    @hypothesis.example(np.array([[0, 1], [0, 0]]), "drawn")  # column 0 ties, column 1 drops
+    @hypothesis.example(np.array([[0, 0], [0, 0]]), "drawn")  # equal rows do not increase
+    @hypothesis.example(np.array([[0, 5], [1, 0]]), "drawn")
+    @hypothesis.example(np.array([[0, 1, 0], [0, 0, 1]]), "drawn")  # column 2 rises too late
+    def check(rows, presort):
+        if presort == "column0" and len(rows):
+            rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        elif presort == "rows" and len(rows):
+            rows = np.unique(rows, axis=0)
+        values = np.arange(len(rows), dtype=float) + 1j
+        want = {}
+        for row, v in zip(map(tuple, rows.tolist()), values.tolist()):
+            want[row] = want.get(row, 0) + v
+        got_rows, got_values = group_sum(rows, values)
+        keys = sorted(want)
+        assert got_rows.tolist() == [list(k) for k in keys]
+        assert got_values.tolist() == [want[k] for k in keys]
 
     check()

@@ -8,10 +8,12 @@ Gauss-Legendre quadrature.  Each coefficient must agree to 1e-12 of t times
 the sum of |coefficient products| of its tuples, and the supports must agree
 apart from coefficients that the oracle itself puts within that bound of 0.
 A second, vectorized ordered-tuple reference covers data large enough for
-the chunk loop to run more than once.
+the chunk loop to run more than once, and the chunk size set to 1 and 7
+elements; the working set of the C = 128 extremizer is pinned by tracemalloc.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from qpwave import DispersionSymbol, LatticeSpec, QScalar, TrigPoly
+from qpwave import DispersionSymbol, LatticeSpec, QScalar, TrigPoly, extremizer, sqrt2_lattice
+from qpwave import nls
 from qpwave.meannorms import _fold_tuple_data, evolved_factor_data
 from qpwave.nls import first_picard_iterate
 from conftest import oracle_first_picard_iterate, oracle_phi1
@@ -84,19 +87,17 @@ def ordered_triple_reference(f: TrigPoly, t: float):
     return origin, acc.reshape(shape), scale.reshape(shape)
 
 
-def test_first_iterate_over_several_chunks():
-    # 170 rank-2 modes fold into more base rows than one chunk of about 2M
-    # elements holds, so the sums of several chunks meet in one coefficient
+def random_rank2(n_modes: int, seed: int, box: int = 8) -> TrigPoly:
     spec = SPECS["sqrt2"]
-    rng = np.random.default_rng(170)
-    box = np.stack(np.meshgrid(*[np.arange(-8, 9)] * spec.rank), -1).reshape(-1, spec.rank)
-    idx = box[rng.choice(len(box), 170, replace=False)]
-    vals = rng.standard_normal(170) + 1j * rng.standard_normal(170)
-    f = TrigPoly.from_arrays(spec, idx, vals)
-    plain = evolved_factor_data(f, DispersionSymbol.schrodinger())
-    base_rows = len(_fold_tuple_data([plain, plain])[1])
-    assert base_rows > 2_000_000 / len(f)
-    t = 0.02
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(-box, box + 1)] * spec.rank), -1)
+    grid = grid.reshape(-1, spec.rank)
+    idx = grid[rng.choice(len(grid), n_modes, replace=False)]
+    vals = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+    return TrigPoly.from_arrays(spec, idx, vals)
+
+
+def assert_matches_triple_reference(f: TrigPoly, t: float):
     it = first_picard_iterate(f, t)
     origin, want, scale = ordered_triple_reference(f, t)
     got = np.zeros_like(want)
@@ -107,6 +108,60 @@ def test_first_iterate_over_several_chunks():
     assert not (got != 0)[~reached].any()
     assert (got != 0)[np.abs(want) > TOL * scale].all()
     assert (np.abs(got - want) <= TOL * scale).all()
+
+
+def test_first_iterate_over_several_chunks():
+    # 170 rank-2 modes fold into more base rows than one chunk of PAIR_CHUNK
+    # elements holds, so the sums of several chunks meet in one coefficient
+    f = random_rank2(170, 170)
+    plain = evolved_factor_data(f, DispersionSymbol.schrodinger())
+    base_rows = len(_fold_tuple_data([plain, plain])[1])
+    assert base_rows > nls.PAIR_CHUNK / len(f)
+    assert_matches_triple_reference(f, 0.02)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, nls.PAIR_CHUNK])
+@pytest.mark.parametrize("n_modes", [3, 40])
+def test_first_iterate_at_any_chunk_size(monkeypatch, chunk, n_modes):
+    # chunk 1: one base row a chunk and a fold of the running sums whenever
+    # the new parts outgrow the folded table; chunk 7 on 3 modes: two base
+    # rows a chunk
+    monkeypatch.setattr(nls, "PAIR_CHUNK", chunk)
+    assert_matches_triple_reference(random_rank2(n_modes, n_modes), 0.02)
+
+
+def test_first_iterate_running_sums_stay_bounded(monkeypatch):
+    # with one base row a chunk, 40 modes leave 820 parts; folded as they
+    # come, no fold takes in more than the folded table, as many new pairs
+    # and one more part: under 3 times the output size
+    monkeypatch.setattr(nls, "PAIR_CHUNK", 1)
+    folds = []
+
+    def spy(codes, sums):
+        out = fold(codes, sums)
+        folds.append((sum(map(len, codes)), len(out[0])))
+        return out
+
+    fold = nls._fold_codes
+    monkeypatch.setattr(nls, "_fold_codes", spy)
+    first_picard_iterate(random_rank2(40, 40), 0.02)
+    outputs = folds[-1][1]
+    assert len(folds) > 2
+    assert all(taken < 3 * outputs for taken, _ in folds)
+
+
+def test_first_iterate_working_set_is_bounded():
+    # one chunk of the pairing, not the whole 1.6M-element table (about
+    # 105 MB at 64 B an element), sets the peak
+    f = extremizer(sqrt2_lattice(), 128)
+    first_picard_iterate(f, 0.01)  # warm caches and imports outside the trace
+    tracemalloc.start()
+    try:
+        first_picard_iterate(f, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_first_iterate_refuses_output_codes_beyond_int64():
