@@ -40,7 +40,7 @@ from functools import reduce
 import numpy as np
 
 from . import budget as _budget
-from .errors import NumericConsistencyError
+from .errors import NumericConsistencyError, ResonantLatticeError
 from .evolution import DispersionSymbol
 from .kernels import group_boundaries, phi1, sort_rows
 from .trigpoly import FLOAT_SUM_TOL, Linspace, TrigPoly, multiply
@@ -67,6 +67,8 @@ PAIR_BLOCK = 1 << 18
 # Samples per chunk of the quadrature sums: 512 KB of complex samples, so a
 # chunk and its |f|^p temporary stay in cache.
 SUM_CHUNK = 1 << 15
+# Certified relative error of the auto-windowed quadrature mean of |f|^p (criterion 7: 5%).
+WINDOW_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,32 @@ def lp_norm_exact(f: TrigPoly, p: int) -> float:
     return float((v.real**2 + v.imag**2).sum()) ** (1.0 / p)
 
 
+def _auto_window(F: TrigPoly) -> float:
+    """L = E / (WINDOW_TOL sum |F_mu|^2), E = sum over distinct index sums mu != nu
+    of |F_mu| |F_nu| / |lam_mu - lam_nu|, in row blocks of at most SUM_CHUNK pairs.
+    Sums whose float frequencies agree within FLOAT_SUM_TOL of their summed term
+    sizes make E unbounded: ``ResonantLatticeError``, relation their difference."""
+    idx, vals = F.as_arrays()
+    _budget.check(len(vals) * (len(vals) - 1) // 2, what="quadrature window")
+    lam = F.freqs_float()
+    order = np.argsort(lam, kind="stable")
+    idx, lam, mag = idx[order], lam[order], np.abs(vals)[order]
+    scale = F.spec.freq_float(np.abs(idx))
+    close = np.flatnonzero(np.diff(lam) <= FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1]))
+    if len(close):
+        mu, nu = idx[close[0]], idx[close[0] + 1]
+        raise ResonantLatticeError(
+            f"distinct index sums {tuple(mu.tolist())} and {tuple(nu.tolist())} share a frequency",
+            relation=tuple((nu - mu).tolist()),
+        )
+    rows, parts = max(1, SUM_CHUNK // len(vals)), []
+    for lo in range(0, len(vals) - 1, rows):
+        gap = lam[lo + 1 :] - lam[lo : lo + rows, None]  # > 0 exactly above the diagonal
+        inv = np.divide(mag[lo + 1 :], gap, out=np.zeros_like(gap), where=gap > 0)
+        parts.append(mag[lo : lo + rows] @ inv.sum(axis=1))
+    return 2 * math.fsum(parts) / (WINDOW_TOL * float(mag @ mag))
+
+
 def lp_norm_numeric(
     f: TrigPoly,
     p: int,
@@ -182,25 +210,19 @@ def lp_norm_numeric(
     """Quadrature estimate of the mean L^p norm over [-L, L]; the independent
     check for ``lp_norm_exact``.
 
-    Without an explicit L the window is sized from f^(p/2)
-    (``_tuple_power``, budget-checked as a "coefficient convolution"): its
-    indices are the distinct p/2-fold index sums of f, already grouped
-    exactly, and the smallest spacing of their sorted float frequencies
-    controls the slowest surviving oscillation of |f|^p.  L is 1e4 over that
-    gap, or 1e3 if it is 0 (one sum, or coinciding frequencies).  An explicit
-    L must be positive and finite (else ``ValueError``).
-    |f| is sampled on ``Linspace(-L, L, n)``, n equally spaced points of
-    [-L, L] with no abscissa array built, at least ``min_points_per_period``
-    per period of the fastest mode (``TrigPoly.evaluate``: block and offset
-    phase tables, one matrix product; d = 1 only).  |f|^p is formed and
-    summed in chunks of ``SUM_CHUNK`` samples, so no other array of the
-    grid's length is built, and ``math.fsum`` adds the chunk sums and minus
-    half of the two endpoint values exactly: the trapezoid mean is that total
-    over n - 1.
-    The grid size n is checked against the work budget before any sampling.
-    ``ValueError`` unless p is a positive even integer (the window is sized
-    from p/2-fold sums) and ``min_points_per_period`` an integer >= 2 (fewer
-    samples per period cannot resolve the fastest mode).
+    |f|^p = |F|^2 with F = f^(p/2) (``_tuple_power``), and a cross term
+    e^{i omega x} of |F|^2 has trapezoid mean sinc(omega L) theta / tan(theta),
+    theta = omega h / 2, on a grid of step h: at most 1 / |omega L| while
+    |omega| h <= pi.  So the mean is within E / L of S = sum |F_mu|^2, and the
+    auto window L = E / (WINDOW_TOL S) (``_auto_window``; the smallest grid if
+    E = 0) bounds the error by WINDOW_TOL S; distinct sums sharing a float
+    frequency raise ``ResonantLatticeError``.  An explicit L must be positive
+    and finite (else ``ValueError``).  h gives ``min_points_per_period``
+    samples per period of p max(1, max|lam_f|), which bounds every omega.
+    The trapezoid mean on ``Linspace(-L, L, n)`` is ``_trapezoid_mean``'s (n
+    budget-checked before sampling, d = 1 only, |f|^p summed in ``SUM_CHUNK``
+    chunks).  ``ValueError`` unless p is a positive even integer and
+    ``min_points_per_period`` an integer >= 2 (so |omega| h <= pi).
     """
     if not (isinstance(p, numbers.Integral) and p > 0 and p % 2 == 0):
         raise ValueError(f"p must be a positive even integer, got {p!r}")
@@ -216,10 +238,8 @@ def lp_norm_numeric(
         return 0.0
     max_lam = max(1.0, float(np.abs(f.freqs_float()).max()))
     if L is None:
-        gaps = np.diff(np.sort(_tuple_power(f, p // 2).freqs_float()))
-        gap = float(gaps.min()) if len(gaps) else 0.0
-        L = 1e4 / gap if gap > 0 else 1e3
-    step = 2 * math.pi / (min_points_per_period * max_lam)
+        L = _auto_window(_tuple_power(f, p // 2))
+    step = 2 * math.pi / (min_points_per_period * p * max_lam)
     n = int(2 * L / step) + 2
 
     def power(w):

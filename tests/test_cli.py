@@ -7,6 +7,7 @@ import pytest
 
 from qpwave import (
     Band,
+    LatticeSpec,
     TrigPoly,
     get_default_budget,
     integer_lattice,
@@ -42,6 +43,17 @@ def test_norm_on_one_plus_mode(capsys, tmp_path):
     code, out, _ = run(capsys, "norm", "--p", "4", "--input", str(path))
     assert code == 0
     assert float(out) == pytest.approx(6 ** 0.25, rel=1e-12)
+
+
+def test_norm_numeric_refuses_coinciding_float_sums(capsys, tmp_path):
+    # on [1, 2] the modes (2, 0) and (0, 1) are one function, 2 e^{2ix}: the
+    # quadrature window cannot be bounded, a usage error (exit 2)
+    f = TrigPoly(LatticeSpec([[1.0, 2.0]]), {(2, 0): 1.0, (0, 1): 1.0})
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_dict()))
+    code, out, err = run(capsys, "norm", "--p", "4", "--input", str(path), "--numeric")
+    assert (code, out) == (2, "")
+    assert "share a frequency" in err
 
 
 def test_count(capsys):

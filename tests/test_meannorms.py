@@ -13,7 +13,9 @@ from qpwave import (
     Linspace,
     MixedNormSpec,
     QScalar,
+    ResonantLatticeError,
     TrigPoly,
+    extremizer,
     fit_exponent,
     integer_lattice,
     lp_norm_exact,
@@ -91,47 +93,83 @@ C7_SPECS = {
 }
 C7_MODES = {
     "integer": (4, 6),  # the box holds 7 indices
-    # 6 and 8 modes size grids of 1.5e7 and 7.1e7 samples, over the default budget
-    "float_rank3": (4,),
 }
 
 
 @pytest.mark.parametrize("name", sorted(C7_SPECS))
 def test_criterion7_auto_window_across_families(name):
+    # the certified bound on the mean of |f|^p, and criterion 7's 5% on the norm
     spec = C7_SPECS[name]
     for m in C7_MODES.get(name, (4, 6, 8)):
         f = random_poly(spec, m, np.random.default_rng(100 + m), box=3)
         for p in (4, 6):
-            exact = lp_norm_exact(f, p)
-            assert abs(lp_norm_numeric(f, p) - exact) <= 0.05 * exact
+            exact, numeric = lp_norm_exact(f, p), lp_norm_numeric(f, p)
+            assert abs(numeric**p - exact**p) <= meannorms.WINDOW_TOL * exact**p
+            assert abs(numeric - exact) <= 0.05 * exact
 
 
-def _distinct_sum_gap(f, k):
-    """Smallest spacing of the float frequencies of the distinct k-fold index
-    sums of f, enumerated by itertools (0 for a single sum)."""
-    rows = itertools.combinations_with_replacement(f.as_arrays()[0].tolist(), k)
-    sums = sorted({tuple(map(sum, zip(*row))) for row in rows})
-    lam = np.sort(f.spec.freq_float(np.array(sums)))
-    return float(np.diff(lam).min()) if len(lam) > 1 else 0.0
+def _window_reference(f, k):
+    """E / (WINDOW_TOL S) from the distinct k-fold index sums of f, enumerated
+    by itertools: F_mu sums the coefficient products of the ordered k-tuples
+    with index sum mu, S = sum |F_mu|^2 and E sums |F_mu| |F_nu| over the gap
+    |lam_mu - lam_nu| of every ordered pair of distinct sums."""
+    idx, vals = f.as_arrays()
+    F = {}
+    for rows in itertools.product(range(len(vals)), repeat=k):
+        mu = tuple(map(sum, zip(*(idx[r].tolist() for r in rows))))
+        F[mu] = F.get(mu, 0) + math.prod(vals[r] for r in rows)
+    lam = f.spec.freq_float(np.array(list(F)))
+    mag = np.abs(np.array(list(F.values())))
+    E = sum(
+        mag[i] * mag[j] / abs(lam[i] - lam[j])
+        for i, j in itertools.permutations(range(len(mag)), 2)
+    )
+    return E / (meannorms.WINDOW_TOL * float((mag**2).sum()))
 
 
 @pytest.mark.parametrize("name", sorted(C7_SPECS))
 def test_auto_window_is_sized_by_the_distinct_sum_gap(name, monkeypatch):
+    # the window is the error bound's E / (WINDOW_TOL S), which weighs every
+    # gap between the distinct sums of f^(p/2)
     windows = []
 
     def record(f, L, n, term=None):
-        windows.append(L)
+        windows.append((L, n))
         return 1.0
 
     monkeypatch.setattr(meannorms, "_trapezoid_mean", record)
     spec, rng = C7_SPECS[name], np.random.default_rng(30)
-    # one mode: a single sum, so the 1e3 fallback
+    # one mode: a single sum, |f|^p is constant, E = 0 and the grid is the smallest
     for m in (1,) + C7_MODES.get(name, (4, 6, 8)):
         f = random_poly(spec, m, rng, box=3)
         for p in (2, 4, 6):
             lp_norm_numeric(f, p)
-            gap = _distinct_sum_gap(f, p // 2)
-            assert windows.pop() == (1e4 / gap if gap > 0 else 1e3)
+            L, n = windows.pop()
+            want = _window_reference(f, p // 2)
+            assert L == pytest.approx(want, rel=1e-12, abs=0)
+            assert n == _grid_size(f, p, L, 8)
+            assert (m == 1) == (n == 2)
+
+
+def test_lp_numeric_p8_resolves_the_fastest_frequency(int_spec):
+    # the mean of |2 cos x|^8 is 70; |f|^8 oscillates at 8 times f's fastest mode
+    f = TrigPoly(int_spec, {(1,): 1.0, (-1,): 1.0})
+    assert abs(lp_norm_numeric(f, 8) ** 8 - 70) <= meannorms.WINDOW_TOL * 70
+
+
+def test_lp_numeric_refuses_coinciding_float_sums(monkeypatch):
+    # on [1, 2] the modes (2, 0) and (0, 1) are both 2 e^{2ix}: the distinct
+    # sums of f^2 share the frequency 4, so no window bounds the error
+    f = TrigPoly(LatticeSpec([[1.0, 2.0]]), {(2, 0): 1.0, (0, 1): 1.0})
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a datum with coinciding sums")
+
+    monkeypatch.setattr(TrigPoly, "evaluate", no_sampling)
+    for p in (2, 4):
+        with pytest.raises(ResonantLatticeError, match="share a frequency") as info:
+            lp_norm_numeric(f, p)
+        assert info.value.relation == (2, -1)
 
 
 def test_lp_numeric_constant(int_spec):
@@ -149,24 +187,25 @@ def test_lp_numeric_periodic_full_periods(int_spec):
     assert got == pytest.approx(exact, rel=1e-6)
 
 
-def _grid_step(f, per_period):
-    return 2 * math.pi / (per_period * max(1.0, float(np.abs(f.freqs_float()).max())))
+def _grid_step(f, p, per_period):
+    """per_period samples per period of p max|lam_f|, the fastest frequency of |f|^p."""
+    return 2 * math.pi / (per_period * p * max(1.0, float(np.abs(f.freqs_float()).max())))
 
 
-def _grid_size(f, L, per_period):
-    return int(2 * L / _grid_step(f, per_period)) + 2
+def _grid_size(f, p, L, per_period):
+    return int(2 * L / _grid_step(f, p, per_period)) + 2
 
 
-def _window_of_size(f, n, per_period=8):
-    """A half-width L whose quadrature grid has n samples."""
-    L = (n - 1.5) * _grid_step(f, per_period) / 2
-    assert _grid_size(f, L, per_period) == n
+def _window_of_size(f, p, n, per_period=8):
+    """A half-width L whose quadrature grid for |f|^p has n samples."""
+    L = (n - 1.5) * _grid_step(f, p, per_period) / 2
+    assert _grid_size(f, p, L, per_period) == n
     return L
 
 
 def _linspace_power(f, p, L, per_period):
     """|f|^p on the Linspace grid of lp_norm_numeric's size."""
-    v = f.evaluate(Linspace(-L, L, _grid_size(f, L, per_period)))
+    v = f.evaluate(Linspace(-L, L, _grid_size(f, p, L, per_period)))
     return (v.real**2 + v.imag**2) ** (p / 2)
 
 
@@ -209,9 +248,9 @@ def test_lp_numeric_chunked_sum(spec_name, n, request, monkeypatch):
     spec = request.getfixturevalue(spec_name)
     rng = np.random.default_rng(1000 + n)
     f = random_poly(spec, 6, rng, box=3)
-    L = _window_of_size(f, n)
     eps = np.finfo(float).eps
     for p in (2, 4, 6):
+        L = _window_of_size(f, p, n)
         got = lp_norm_numeric(f, p, L=L)
         assert got == _quadrature_reference(f, p, L)
         want = _np_trapezoid_reference(f, p, L)
@@ -219,11 +258,11 @@ def test_lp_numeric_chunked_sum(spec_name, n, request, monkeypatch):
 
 
 def test_lp_numeric_peak_memory_is_the_grid(sqrt2_spec):
-    # the grid of the benchmark's 8-mode window, n = 865,055 complex samples:
-    # besides it only one chunk's |f|^p is live
+    # a grid of n = 865,055 complex samples, 27 chunks of SUM_CHUNK: besides
+    # it only one chunk's |f|^p is live
     f = random_poly(sqrt2_spec, 8, np.random.default_rng(26), box=3)
     n = 865_055
-    L = _window_of_size(f, n)
+    L = _window_of_size(f, 4, n)
     tracemalloc.start()
     try:
         lp_norm_numeric(f, 4, L=L)
@@ -276,6 +315,27 @@ def test_lp_numeric_budget_refuses_before_sampling(sqrt2_spec, monkeypatch, work
     work_budget(100)
     with pytest.raises(BudgetError, match="quadrature grid"):
         lp_norm_numeric(f, 4, L=100.0)
+    # the auto window's pair sum: 6 modes, 21 distinct sums of f^2, 210 pairs
+    g = random_poly(sqrt2_spec, 6, np.random.default_rng(27), box=3)
+    assert len(meannorms._tuple_power(g, 2)) == 21
+    with pytest.raises(BudgetError, match="quadrature window"):
+        lp_norm_numeric(g, 4)
+
+
+def test_lp_numeric_window_memory_is_row_blocks(sqrt2_spec, monkeypatch):
+    # the C = 32 extremizer at p = 6: N = 520 distinct sums of f^3, whose
+    # N(N - 1)/2 pairs are summed in row blocks, never as an N x N table
+    f = extremizer(sqrt2_spec, 32)
+    N = len(meannorms._tuple_power(f, 3))
+    assert N == 520
+    monkeypatch.setattr(meannorms, "_trapezoid_mean", lambda f, L, n, term=None: 1.0)
+    tracemalloc.start()
+    try:
+        lp_norm_numeric(f, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * N * N  # one N x N float table alone is 8 N^2 bytes
 
 
 @pytest.mark.parametrize(
@@ -488,9 +548,9 @@ def test_mixed_norm_free_d2():
 
 def test_lp_numeric_window_at_large_height(sqrt2_spec):
     # one 3-fold index sum reached in different orders has float frequency sums
-    # near 1e4 that differ by roundoff (~1e-12); taken for the smallest gap,
-    # they would size the window for a 1e20-point grid, so the window is sized
-    # from the distinct index sums
+    # near 1e4 that differ by roundoff (~1e-12); taken for distinct sums, they
+    # would be refused as sharing a frequency, so the window is sized from the
+    # distinct index sums
     f = random_poly(sqrt2_spec, 5, np.random.default_rng(4), box=10**4)
     exact = lp_norm_exact(f, 6)
     assert lp_norm_numeric(f, 6) == pytest.approx(exact, rel=0.05)
