@@ -70,10 +70,8 @@ def _parse_lattice(args) -> LatticeSpec:
         entries = [float(x) for x in omega.split(",")]
     except ValueError as e:
         raise _ValidationError(f"cannot parse --omega {omega!r}: {e}") from e
-    if all(x == int(x) for x in entries):
-        from .scalars import QScalar
-
-        return LatticeSpec([[QScalar(int(x)) for x in entries]])
+    if all(x.is_integer() for x in entries):  # exact; inf and nan are not integers
+        return LatticeSpec([[int(x) for x in entries]])
     return LatticeSpec([entries])
 
 

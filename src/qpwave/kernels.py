@@ -4,7 +4,8 @@ e^{i r s} over s in [0, T] at theta = r T, evaluated in real arithmetic.
 
 All reductions here are deterministic: rows are ordered by one stable
 lexicographic sort (``sort_rows``: packed int64 keys, each tagged with its
-row number) before ``reduceat``, so results do not depend on input order.
+row number; a prefix too wide for one word becomes its dense rank) before
+``reduceat``, so results do not depend on input order.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each column is offset by its own minimum and packed into the bits of its
     own range; the row number is tagged into the low b = bit_length(n - 1)
     bits, so all keys are distinct and one plain sort returns the stable
-    order.  Rows whose column bits and tag together exceed 63 bits are first
-    replaced by their dense lexicographic rank, which is below n.
+    order.  A key that would outgrow one word, or end above 2^(63 - b), is
+    replaced by its dense rank (a 1-d ``np.unique``: order-preserving and
+    below n), and so is a column that is wider than 63 - b bits on its own.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim == 1:
@@ -30,16 +32,22 @@ def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
     b = (n - 1).bit_length()
-    # column by column: an axis=0 reduction over (n, r) rows is slower
-    cols = [rows[:, j] for j in range(rows.shape[1])]
-    lows = [int(c.min()) for c in cols]
-    bits = [(int(c.max()) - lo).bit_length() for c, lo in zip(cols, lows)]
-    if sum(bits) + b > 63:
-        cols, lows = [np.unique(rows, axis=0, return_inverse=True)[1].reshape(n)], [0]
-    key = cols[0] - lows[0]
-    for c, lo, w in zip(cols[1:], lows[1:], bits[1:]):
-        key <<= w
-        key += c - lo
+    key, width = None, 0
+    for c in rows.T:  # column by column: an axis=0 reduction over (n, r) rows is slower
+        lo = int(c.min())
+        w = (int(c.max()) - lo).bit_length()
+        if w > 63 - b:
+            c, lo, w = np.unique(c, return_inverse=True)[1], 0, b
+        if width + w > 63:
+            key, width = np.unique(key, return_inverse=True)[1], b
+        if key is None:
+            key = c - lo
+        else:
+            key <<= w
+            key += c - lo
+        width += w
+    if width > 63 - b:
+        key = np.unique(key, return_inverse=True)[1]
     key <<= b
     key |= np.arange(n)
     key.sort()

@@ -54,9 +54,10 @@ class LatticeSpec:
     """Generator data: spatial dimension d, ranks nu, per-dimension generators.
 
     Entries are either all exact (QScalar / rationals, one common quadratic
-    field) or all floats; float mode uses a 1e-12 coincidence tolerance.  Exact
-    lattices store integer generator coordinates over one denominator ``den``
-    in Q(sqrt ``radicand``); every exact decision runs on ``exact_coords``.
+    field) or all finite floats (``ValueError`` for inf or nan); float mode
+    uses a 1e-12 coincidence tolerance.  Exact lattices store integer
+    generator coordinates over one denominator ``den`` in Q(sqrt
+    ``radicand``); every exact decision runs on ``exact_coords``.
 
     Construction refuses generators with an integer relation
     (``ResonantLatticeError``, naming a primitive one): on an exact lattice by
@@ -95,8 +96,8 @@ class LatticeSpec:
 
         for b in blocks:
             for x in b:
-                if (x.sign() <= 0) if exact else (x <= 0.0):
-                    raise ValueError("generator entries must be positive")
+                if (x.sign() <= 0) if exact else not 0.0 < x < math.inf:  # nan too
+                    raise ValueError("generator entries must be positive and finite")
 
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "nu", tuple(len(b) for b in blocks))

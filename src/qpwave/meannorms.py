@@ -11,8 +11,8 @@ factors side by side).  A factor repeated from the one before it
 (``mixed_norm_free`` passes [f] * k) is enumerated as multisets of rows, each
 once with its multinomial weight, so [f, f] builds M(M+1)/2 rows instead of
 M^2.  The rows are grouped once: sorted by index sum and, on an exact
-lattice, merged by phase key through one stable lexicographic sort of the
-rows (``kernels.sort_rows``); neither norm sorts them again for that.
+lattice, merged by phase key (in float global mode, ordered by rate) through
+one stable lexicographic sort of the rows (``kernels.sort_rows``).
 
 The windowed space-time norm of a free evolution carries one time integral
 per pair of tuples with equal index sum, T phi1(T(r_i - r_j)) with the real
@@ -153,39 +153,19 @@ def _tuple_power(f: TrigPoly, k: int) -> TrigPoly:
     """f^k by k - 1 products with f: its indices are the distinct k-fold index
     sums of f, grouped exactly by ``multiply``, and its coefficients the summed
     products of their tuples.  Each product's outer-sum table is capped like
-    a tuple-fold step."""
+    a tuple-fold step.  On a d = 1 float lattice, distinct sums (k = 1: the
+    indices of f) whose float frequencies agree within FLOAT_SUM_TOL of their
+    summed term sizes raise ``ResonantLatticeError``, relation their difference."""
     g = f
     for _ in range(k - 1):
         _budget.check_memory(len(g) * len(f), what="tuple-power table")
         g = multiply(g, f)
-    return g
-
-
-def lp_norm_exact(f: TrigPoly, p: int) -> float:
-    """Mean L^p norm via matched index tuples; p in {2, 4, 6}.  For p = 2k the
-    mean of |f|^p is the squared l^2 norm of the coefficients of f^k, whose
-    index rows are the k-fold index sums of f (``_tuple_power``)."""
-    if p == 2:
-        return f.l2_norm()
-    if p not in (4, 6):
-        raise ValueError("exact mean norms are available for p in {2, 4, 6}")
-    if not f:
-        return 0.0
-    _, v = _tuple_power(f, p // 2).as_arrays()
-    return float((v.real**2 + v.imag**2).sum()) ** (1.0 / p)
-
-
-def _auto_window(F: TrigPoly) -> float:
-    """L = E / (WINDOW_TOL sum |F_mu|^2), E = sum over distinct index sums mu != nu
-    of |F_mu| |F_nu| / |lam_mu - lam_nu|, in row blocks of at most SUM_CHUNK pairs.
-    Sums whose float frequencies agree within FLOAT_SUM_TOL of their summed term
-    sizes make E unbounded: ``ResonantLatticeError``, relation their difference."""
-    idx, vals = F.as_arrays()
-    _budget.check(len(vals) * (len(vals) - 1) // 2, what="quadrature window")
-    lam = F.freqs_float()
+    if g.spec.exact or g.spec.d != 1:
+        return g
+    lam = g.freqs_float()
     order = np.argsort(lam, kind="stable")
-    idx, lam, mag = idx[order], lam[order], np.abs(vals)[order]
-    scale = F.spec.freq_float(np.abs(idx))
+    idx, lam = g.as_arrays()[0][order], lam[order]
+    scale = g.spec.freq_float(np.abs(idx))
     close = np.flatnonzero(np.diff(lam) <= FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1]))
     if len(close):
         mu, nu = idx[close[0]], idx[close[0] + 1]
@@ -193,6 +173,34 @@ def _auto_window(F: TrigPoly) -> float:
             f"distinct index sums {tuple(mu.tolist())} and {tuple(nu.tolist())} share a frequency",
             relation=tuple((nu - mu).tolist()),
         )
+    return g
+
+
+def lp_norm_exact(f: TrigPoly, p: int) -> float:
+    """Mean L^p norm via matched index tuples; p in {2, 4, 6}.  For p = 2k the
+    mean of |f|^p is the squared l^2 norm of the coefficients of f^k, whose
+    index rows are the k-fold index sums of f (``_tuple_power``)."""
+    if p not in (2, 4, 6):
+        raise ValueError("exact mean norms are available for p in {2, 4, 6}")
+    if not f:
+        return 0.0
+    F = _tuple_power(f, p // 2)
+    if p == 2:
+        return F.l2_norm()
+    _, v = F.as_arrays()
+    return float((v.real**2 + v.imag**2).sum()) ** (1.0 / p)
+
+
+def _auto_window(F: TrigPoly) -> float:
+    """L = E / (WINDOW_TOL sum |F_mu|^2), E = sum over distinct index sums mu != nu
+    of |F_mu| |F_nu| / |lam_mu - lam_nu|, in row blocks of at most SUM_CHUNK pairs.
+    F comes from ``_tuple_power``, which refuses float-lattice sums sharing a
+    frequency; on an exact lattice distinct sums have distinct frequencies."""
+    _, vals = F.as_arrays()
+    _budget.check(len(vals) * (len(vals) - 1) // 2, what="quadrature window")
+    lam = F.freqs_float()
+    order = np.argsort(lam, kind="stable")
+    lam, mag = lam[order], np.abs(vals)[order]
     rows, parts = max(1, SUM_CHUNK // len(vals)), []
     for lo in range(0, len(vals) - 1, rows):
         gap = lam[lo + 1 :] - lam[lo : lo + rows, None]  # > 0 exactly above the diagonal
@@ -293,9 +301,10 @@ def _fold_tuple_data(datas, scales=None):
     are summed in sorted-row order, so orderings agree bitwise.  On exact
     lattices one stable lexicographic sort of the rows (index sum, phase key)
     (``sort_rows``) groups them, and equal rows merge: the first keeps its
-    rate, the values add.  Float rows are sorted by index sum only, by the
-    same kernel.  The work estimate stays the ordered count, the product of
-    the factor sizes.
+    rate, the values add.  Float rows are sorted by index sum by the same
+    kernel, and given ``scales`` (global float mode) by rate within each
+    index sum too: the dense rank of the rate sums is a last sort column.
+    The work estimate stays the ordered count, the product of the factor sizes.
     """
     exact = datas[0][3] is not None
     if exact:
@@ -335,13 +344,16 @@ def _fold_tuple_data(datas, scales=None):
         val *= weight
     # integer columns one at a time: row gathers of 2-d arrays are slower
     ints = [np.hstack([d[0], d[3]]) if exact else d[0] for d in datas]
-    table = np.empty((len(val), ints[0].shape[1]), dtype=np.int64)
-    for j in range(table.shape[1]):
+    width = ints[0].shape[1]
+    table = np.empty((len(val), width + (scales is not None)), dtype=np.int64)
+    for j in range(width):
         table[:, j] = gather([x[:, j] for x in ints])
+    if scales is not None:  # float global mode: equal rates share a rank
+        table[:, width] = np.unique(rate, return_inverse=True)[1]
     order, cuts = sort_rows(table)
     if not exact:
         scale = None if scales is None else gather(scales)[order]
-        return np.take(table, order, axis=0), val[order], rate[order], scale
+        return np.take(table[:, :width], order, axis=0), val[order], rate[order], scale
     first = order[cuts]
     table, rank = np.take(table, first, axis=0), datas[0][0].shape[1]
     return table[:, :rank], np.add.reduceat(val[order], cuts), rate[first], table[:, rank:]
@@ -405,26 +417,19 @@ def windowed_product_norm_sq(polys, symbol, T) -> float:
     return re
 
 
-def _group_rate_order(group, rate):
-    """The stable order of rows by (group, rate), as np.lexsort((rate, group)):
-    ``sort_rows`` of the columns (group, dense rate rank), where equal rates
-    share a rank."""
-    dense = np.unique(rate, return_inverse=True)[1]
-    return sort_rows(np.stack([group, dense], axis=1))[0]
-
-
 def global_product_norm_sq(polys, symbol) -> float:
     """Global time-mean of the squared mean L^2 norm of the evolved product:
     only exactly phase-matched tuples survive the averaging.
 
     Exact lattices decide resonance on int64 phase keys: the tuple fold has
     already merged the tuples of equal index sum and phase, so the result is
-    the sum of its squared values.  Float mode sorts the fold's rows (each
-    multiset of a repeated factor once) by rate within each index sum and
-    groups rate sums that agree within FLOAT_SUM_TOL of their summed
-    term sizes; that is validated on boosted small-box data up to heights of
-    about 1e5.  Near 1e6 distinct rate sums can lie closer than the tolerance
-    and are then merged without any error, so the result can be wrong there.
+    the sum of its squared values.  In float mode the fold's own sort orders
+    its rows (each multiset of a repeated factor once) by rate within each
+    index sum, cut where adjacent rate sums differ by more than FLOAT_SUM_TOL
+    of their summed term sizes; that is validated on boosted small-box data
+    up to heights of about 1e5.  Near 1e6 distinct rate sums can lie closer
+    than the tolerance and are merged without any error, so the result can be
+    wrong there.
     """
     polys = list(polys)
     if any(not f for f in polys):
@@ -438,12 +443,9 @@ def global_product_norm_sq(polys, symbol) -> float:
     law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
     scales = [np.abs(law.rates_for_indices(f.spec, np.abs(d[0]))) for f, d in zip(polys, datas)]
     idx, val, rate, scale = _fold_tuple_data(datas, scales)
-    new_idx = np.zeros(len(idx), dtype=bool)
-    new_idx[group_boundaries(idx)] = True
-    order = _group_rate_order(np.cumsum(new_idx) - 1, rate)
-    rate, scale = rate[order], scale[order]
-    split = np.diff(rate) > FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1])
-    sums = np.add.reduceat(val[order], np.flatnonzero(new_idx | np.r_[True, split]))
+    split = np.r_[True, np.diff(rate) > FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1])]
+    split[group_boundaries(idx)] = True
+    sums = np.add.reduceat(val, np.flatnonzero(split))
     return float((sums.real**2 + sums.imag**2).sum())
 
 

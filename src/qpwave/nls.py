@@ -41,7 +41,7 @@ import numpy as np
 from . import budget as _budget
 from .errors import NonContractionError
 from .evolution import DispersionSymbol
-from .kernels import phi1, sort_rows
+from .kernels import group_sum, phi1, sort_rows
 from .lattice import ball_indices
 from .meannorms import _fold_tuple_data, evolved_factor_data
 from .trigpoly import TrigPoly, multiply, project_ball
@@ -432,17 +432,6 @@ def solve(
 # -- the first Picard iterate, exactly ------------------------------------------------
 
 
-def _fold_codes(codes: list, sums: list) -> tuple[np.ndarray, np.ndarray]:
-    """One (code, sum) pair per distinct code of the concatenated parts, in
-    ascending code order; the sums of one code add up in part order.  One
-    part, as a chunk leaves it, is already in that form."""
-    if len(codes) == 1:
-        return codes[0], sums[0]
-    codes, sums = np.concatenate(codes), np.concatenate(sums)
-    order, starts = sort_rows(codes)
-    return codes[order[starts]], np.add.reduceat(sums[order], starts)
-
-
 def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     """Closed-form Duhamel integral of the free-evolution nonlinearity.
 
@@ -459,9 +448,9 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     (``kernels.sort_rows``) and the output rates are evaluated once per
     distinct output of the chunk.  The running sums are held as (output
     code, value) pairs; whenever the parts since the last fold outgrow both
-    a chunk and the folded table, one more sort folds them, so they stay
-    within about twice the output size plus a chunk.  The output index rows
-    are decoded once, at the end.  A code range beyond int64 raises
+    a chunk and the folded table, one ``kernels.group_sum`` folds them, so
+    they stay within about twice the output size plus a chunk.  The output
+    index rows are decoded once, at the end.  A code range beyond int64 raises
     ValueError.  The work budget is checked on the ordered count
     len(f)^(2 power - 1).  The outer free factor (unit modulus) and the -i
     Duhamel prefactor are omitted; every norm of the result is unaffected.
@@ -514,9 +503,9 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
         held_sums.append(np.add.reduceat(contrib, cuts))
         held += len(out_code)
         if held - folded > max(PAIR_CHUNK, folded):
-            codes, sums = _fold_codes(held_codes, held_sums)
-            held_codes, held_sums = [codes], [sums]
+            codes, sums = group_sum(np.concatenate(held_codes), np.concatenate(held_sums))
+            held_codes, held_sums = [codes.ravel()], [sums]
             held = folded = len(codes)
-    codes, sums = _fold_codes(held_codes, held_sums)
+    codes, sums = group_sum(np.concatenate(held_codes), np.concatenate(held_sums))
     # ascending codes decode to strictly increasing rows: from_arrays keeps them
-    return TrigPoly.from_arrays(spec, decode(codes), sums, prune=True)
+    return TrigPoly.from_arrays(spec, decode(codes.ravel()), sums, prune=True)

@@ -56,12 +56,39 @@ def test_norm_numeric_refuses_coinciding_float_sums(capsys, tmp_path):
     assert "share a frequency" in err
 
 
+def test_norm_exact_refuses_coinciding_float_sums(capsys, tmp_path):
+    # the exact route on the same datum: exit 2, not a wrong norm
+    f = TrigPoly(LatticeSpec([[1.0, 2.0]]), {(2, 0): 1.0, (0, 1): 1.0})
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_dict()))
+    code, out, err = run(capsys, "norm", "--p", "4", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "share a frequency" in err
+
+
 def test_count(capsys):
     code, out, _ = run(
         capsys, "count", "--omega", "sqrt2", "--C", "8", "--interval", "0", "1"
     )
     assert code == 0
     assert out.strip() == "4"
+
+
+def test_count_on_float_and_integer_omega(capsys):
+    # the float twin of sqrt2 counts like it; integer entries build an exact lattice
+    code, out, _ = run(
+        capsys, "count", "--omega", "1.0,1.4142135623730951", "--C", "8", "--interval", "0", "1"
+    )
+    assert (code, out.strip()) == (0, "4")
+    code, out, _ = run(capsys, "count", "--omega", "1", "--C", "8", "--interval", "-9", "9")
+    assert (code, out.strip()) == (0, "8")  # the shell 4 < |n| <= 8
+
+
+@pytest.mark.parametrize("omega", ["inf", "nan", "1,inf", "1.5,-inf"])
+def test_count_refuses_non_finite_omega(capsys, omega):
+    code, out, err = run(capsys, "count", "--omega", omega, "--C", "8", "--interval", "0", "1")
+    assert (code, out) == (2, "")
+    assert "finite" in err
 
 
 def test_gaps(capsys):

@@ -97,6 +97,20 @@ def test_phi1_refuses_complex_arguments(z):
         phi1(z)
 
 
+def wide_fold_table():
+    """Shaped like the C = 128 tuple fold: 131,328 rows, index-sum columns of
+    9 bits and phase-key columns of 16 bits, with repeated rows.  50 column
+    bits and an 18-bit row tag do not fit one word, so the packed key is
+    ranked before the tag goes in."""
+    rng = np.random.default_rng(128)
+    widths = (9, 9, 16, 16)
+    pool = np.stack([rng.integers(0, 1 << w, 60_000) for w in widths], axis=1)
+    pool[0], pool[1] = 0, [(1 << w) - 1 for w in widths]
+    rows = pool[rng.integers(0, len(pool), 131_328)] - [200, 300, 1 << 15, 7]
+    assert sum(widths) + (len(rows) - 1).bit_length() > 63
+    return rows
+
+
 def test_sort_rows_matches_lexsort():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -117,6 +131,12 @@ def test_sort_rows_matches_lexsort():
     @hypothesis.example(np.array([[5]]))
     @hypothesis.example(np.array([[2**62], [0]]))  # 63 column bits + 1 tag bit: the rank path
     @hypothesis.example(np.array([[2**62, -(2**62)], [0, 0], [2**62, -(2**62)], [0, 1]]))
+    # 20 + 20 column bits fit in one word; the third column's 41 do not fit
+    # beside them, so the first two are ranked mid-row, ties included
+    @hypothesis.example(np.array(
+        [[1, 5, 2**40], [0, 2**20 - 1, 0], [1, 5, 3], [0, 2**20 - 1, 0], [2**20 - 1, 0, 7]]
+    ))
+    @hypothesis.example(wide_fold_table())
     def check(rows):
         order, starts = sort_rows(rows)
         want = np.lexsort(rows.T[::-1])

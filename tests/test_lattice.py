@@ -48,6 +48,16 @@ def test_generators_must_be_positive():
         LatticeSpec([[QScalar(0), QScalar(0, 1, 2)]])
 
 
+def test_generators_must_be_finite():
+    for omega in ([[1.0, math.nan]], [[math.nan]], [[1.0, math.inf]], [[-math.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            LatticeSpec(omega)
+    # JSON lattices: json.loads reads NaN and Infinity as floats
+    for entry in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LatticeSpec.from_dict({"d": 1, "nu": [2], "omega": [[1.0, entry]]})
+
+
 def test_shells_partition(sqrt2_spec):
     ball = {tuple(r) for r in shell_indices(sqrt2_spec, 1)}
     for C in (2, 4, 8):

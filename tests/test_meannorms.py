@@ -172,6 +172,17 @@ def test_lp_numeric_refuses_coinciding_float_sums(monkeypatch):
         assert info.value.relation == (2, -1)
 
 
+def test_lp_exact_refuses_coinciding_float_sums():
+    # the same datum on the exact route: f itself (p = 2) and each f^(p/2)
+    # has two distinct indices at one frequency, so the tuple sum would count
+    # one term of the function as two (it returned 1.414, 1.565, 1.648, not 2)
+    f = TrigPoly(LatticeSpec([[1.0, 2.0]]), {(2, 0): 1.0, (0, 1): 1.0})
+    for p in (2, 4, 6):
+        with pytest.raises(ResonantLatticeError, match="share a frequency") as info:
+            lp_norm_exact(f, p)
+        assert info.value.relation in ((2, -1), (-2, 1))
+
+
 def test_lp_numeric_constant(int_spec):
     f = TrigPoly(int_spec, {(0,): -2.5 + 0.0j})
     for L in (10.0, 100.0):

@@ -4,7 +4,8 @@ Exact phase keys must reproduce the brute-force QScalar oracle, and the float
 twin of each lattice must reproduce the exact result, for up to 6 modes from
 a small index box boosted to heights up to 1e5: the box keeps nontrivial
 resonances, and the boost moves them to large rates without changing them.
-The float mode's (index sum, rate) order must equal ``np.lexsort``, ties
+The float mode's (index sum, rate) order, which the tuple fold's one sort
+gives it through a dense rate-rank column, must equal ``np.lexsort``, ties
 included, so that its reports stay bitwise those of a lexsort.
 """
 
@@ -67,13 +68,19 @@ def test_global_mean_exact_oracle_and_float_twin(f, p):
 
 @pytest.mark.parametrize("n, groups, distinct", [(1, 1, 1), (7, 2, 3), (5000, 300, 40)])
 def test_group_rate_order_matches_lexsort(n, groups, distinct):
-    # a few distinct rates (and both zeros) drawn n times: exact ties within
-    # and across groups
+    # one factor whose index sums are the groups: given scales, the fold
+    # returns its rows (values = row numbers) in np.lexsort((rate, group))
+    # order; a few distinct rates (and both zeros) drawn n times give exact
+    # ties within and across groups
     rng = np.random.default_rng(n)
-    group = np.sort(rng.integers(0, groups, n))
+    group = rng.integers(0, groups, n)
     rate = rng.choice(np.r_[1e3 * rng.standard_normal(distinct), 0.0, -0.0], n)
-    got = meannorms._group_rate_order(group, rate)
-    assert (got == np.lexsort((rate, group))).all()
+    data = (group[:, None], np.arange(n, dtype=float), rate, None)
+    idx, val, got_rate, scale = meannorms._fold_tuple_data([data], [np.arange(n, dtype=float)])
+    want = np.lexsort((rate, group))
+    assert (val == want).all() and (scale == want).all()
+    assert (idx[:, 0] == group[want]).all()
+    assert got_rate.tobytes() == rate[want].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -84,8 +91,11 @@ def test_float_twin_averaged_reports_match_lexsort_order(monkeypatch, seed):
         rep = averaged_norm_check(spec, [8, 16, 32, 64], trials=1, max_support=256, seed=seed)
         return json.dumps(rep.to_json_dict(), sort_keys=True)
 
+    def lexsort_rows(rows):
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        return order, np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+
     got = report()
-    monkeypatch.setattr(
-        meannorms, "_group_rate_order", lambda group, rate: np.lexsort((rate, group))
-    )
+    monkeypatch.setattr(meannorms, "sort_rows", lexsort_rows)
     assert report() == got
