@@ -129,8 +129,8 @@ def boost_mixed_norm_check(
     """Windowed space-time norm of the evolution of f and of its boost.
 
     The quadruple phases are unchanged by a frequency shift (the linear and
-    constant terms cancel on the convolution constraint), so the two values
-    agree up to roundoff.
+    constant terms cancel on the convolution constraint); the Schroedinger
+    norms recenter their data, so there the two values agree bitwise.
     """
     from .meannorms import MixedNormSpec, mixed_norm_free
 

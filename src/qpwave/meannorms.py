@@ -10,23 +10,20 @@ Picard iterate (``nls.first_picard_iterate`` folds its ``power`` plain
 factors side by side).  A factor repeated from the one before it
 (``mixed_norm_free`` passes [f] * k) is enumerated as multisets of rows, each
 once with its multinomial weight, so [f, f] builds M(M+1)/2 rows instead of
-M^2.  The rows are grouped once: sorted by index sum and, on an exact
-lattice, merged by phase key (in float global mode, ordered by rate) through
-one stable lexicographic sort of the rows (``kernels.sort_rows``).
+M^2.  The fold neither sorts nor merges; each caller groups the rows it
+needs with one stable lexicographic sort (``kernels.sort_rows``).  Under the
+Schroedinger law both norms run on data shifted by one integer anchor that
+moves with the data, a common Galilean boost, so no result depends on where
+the spectrum sits.
 
-The windowed space-time norm of a free evolution carries one time integral
-per pair of tuples with equal index sum, T phi1(T(r_i - r_j)) with the real
-phase theta = T(r_i - r_j) and phi1(theta) = (e^{i theta} - 1)/(i theta),
-evaluated as e^{i theta/2} sin(theta/2)/(theta/2) in real arithmetic
-(``kernels.phi1``).  Groups of equal size are paired in (k, s, s) blocks,
-and the phases are factored: with e_i = e^{iT r_i} (taken relative to the
-group's first rate) the kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)), so
-only off-diagonal pairs with |T(r_i - r_j)| < 1, where that numerator
-cancels, evaluate phi1; the diagonal is exactly T.  The globally averaged
-norm keeps only tuples whose dispersive phases cancel exactly.  On an exact
-lattice (any d) that is decided on int64 phase keys, the rates scaled by the
-generators' common denominator, and is the fold's merge; in float mode rate
-sums coincide within FLOAT_SUM_TOL of the summed sizes of their terms.
+The windowed norm carries one time integral per pair of tuples with equal
+index sum, T phi1(T(r_i - r_j)), phi1(theta) = (e^{i theta} - 1)/(i theta)
+of the real phase, in (k, s, s) blocks of equal-size groups with factored
+phases (``windowed_product_norm_sq``).  The globally averaged norm keeps only
+tuples whose dispersive phases cancel exactly: on an exact lattice (any d)
+that is the one decision made on int64 phase keys, the rates scaled by the
+generators' common denominator; in float mode rate sums coincide within
+FLOAT_SUM_TOL of the summed sizes of their terms.
 """
 
 from __future__ import annotations
@@ -61,8 +58,8 @@ __all__ = [
 ]
 
 IMAG_RESIDUE_TOL = 1e-12
-# Pairs per (k, s, s) block of the windowed pairing: one numpy pass per block
-# while its complex temporaries stay a few MB.
+# Pairs per (k, s, s) block of the windowed pairing: one numpy pass per block;
+# its temporaries peak near 13 MB (12.9 MB under tracemalloc at s = 50).
 PAIR_BLOCK = 1 << 18
 # Samples per chunk of the quadrature sums: 512 KB of complex samples, so a
 # chunk and its |f|^p temporary stay in cache.
@@ -264,53 +261,52 @@ def lp_norm_numeric(
 
 def evolved_factor_data(f: TrigPoly, symbol: DispersionSymbol, conjugated: bool = False):
     """Per-mode data of one product factor: (indices, coefficients, phase
-    rates, exact phase keys or None).  A conjugated factor carries negated
-    indices, coefficients, rates and keys."""
+    rates).  A conjugated factor is ``f.conj()`` (negated indices, conjugated
+    coefficients) with its rates negated."""
     poly = f.conj() if conjugated else f
     idx, vals = poly.as_arrays()
     rates = symbol.phase_rates(poly)
-    keys = symbol.phase_rate_keys(poly)
-    if conjugated:
-        rates = -rates
-        if keys is not None:
-            keys = -keys
-    return idx, vals, rates, keys
+    return idx, vals, -rates if conjugated else rates
 
 
-def _factor_datas(polys, symbol):
-    """``evolved_factor_data`` per factor; a factor that is the same poly as the
-    one before it shares that tuple, which marks it repeated for the fold."""
+def _factor_datas(polys, symbol, keys=None):
+    """``evolved_factor_data`` per factor; a factor that is the same poly as
+    the one before it shares that tuple (computed once), which marks it
+    repeated for the fold.  Under the Schroedinger law every factor is first
+    shifted by minus the middle stored index of the first factor, a common
+    Galilean boost: the space-time norms are unchanged, f.shift(a) gives
+    bitwise the data of f, and rates stay as small as the data's spread.
+    ``keys(factor)``, if given and not None, is appended to the indices."""
+    idx = polys[0].as_arrays()[0]
+    anchor = -idx[len(idx) // 2] if symbol.kind == "schrodinger" else None
     datas = []
     for i, f in enumerate(polys):
-        datas.append(datas[-1] if i and f is polys[i - 1] else evolved_factor_data(f, symbol))
+        if i and f is polys[i - 1]:
+            datas.append(datas[-1])
+            continue
+        f = f if anchor is None else f.shift(anchor)
+        idx, vals, rates = evolved_factor_data(f, symbol)
+        extra = None if keys is None else keys(f)
+        datas.append((idx if extra is None else np.hstack([idx, extra]), vals, rates))
     return datas
 
 
 def _fold_tuple_data(datas, scales=None):
-    """Combine per-factor mode data into tuple data sorted by index sum: index
-    sums, coefficient products, rate sums, and summed exact phase keys (on an
-    exact lattice; ValueError if a sum could leave int64) or else the summed
-    per-factor float term ``scales`` (None without them).
-
-    A factor whose data is the same object as its predecessor's (a repeated
-    poly) takes only row numbers >= the predecessor's row, so every multiset
-    of rows is enumerated once and its product carries the multinomial weight
-    of its orderings (1 or 2 at k = 2; 1, 3 or 6 at k = 3).  The tuples are one
-    ragged outer product of per-factor row-number columns (np.repeat plus
-    offsets); every output column is a gather, and rates of a repeated factor
-    are summed in sorted-row order, so orderings agree bitwise.  On exact
-    lattices one stable lexicographic sort of the rows (index sum, phase key)
-    (``sort_rows``) groups them, and equal rows merge: the first keeps its
-    rate, the values add.  Float rows are sorted by index sum by the same
-    kernel, and given ``scales`` (global float mode) by rate within each
-    index sum too: the dense rank of the rate sums is a last sort column.
-    The work estimate stays the ordered count, the product of the factor sizes.
+    """One row per tuple, in enumeration order: the summed integer columns
+    (index sums, and phase keys if the factors carry them), coefficient
+    products, rate sums, and the sums of per-factor float term ``scales``
+    (None without them; given them, the dense rank of the rate sums is a last
+    integer column).  Nothing is sorted or merged: each caller groups the
+    rows it needs with ``kernels.sort_rows``.  A factor whose data is the
+    same object as its predecessor's (a repeated poly) takes only row numbers
+    >= the predecessor's row, so every multiset of rows is enumerated once
+    and its product carries the multinomial weight of its orderings (1 or 2
+    at k = 2; 1, 3 or 6 at k = 3).  The tuples are one ragged outer product
+    of per-factor row-number columns (np.repeat plus offsets); every output
+    column is a gather, and rates of a repeated factor are summed in
+    sorted-row order, so orderings agree bitwise.  The work estimate stays
+    the ordered count, the product of the factor sizes.
     """
-    exact = datas[0][3] is not None
-    if exact:
-        bound = sum(int(np.abs(d[3]).max(initial=0)) for d in datas)
-        if bound > np.iinfo(np.int64).max:
-            raise ValueError("tuple phase key sums exceed the int64 range")
     rows = [np.arange(len(datas[0][1]))]
     weight = streak = np.ones(len(rows[0]))
     run, work = 1, len(rows[0])
@@ -342,21 +338,14 @@ def _fold_tuple_data(datas, scales=None):
     val, rate = gather([d[1] for d in datas], np.multiply), gather([d[2] for d in datas])
     if (weight > 1).any():
         val *= weight
-    # integer columns one at a time: row gathers of 2-d arrays are slower
-    ints = [np.hstack([d[0], d[3]]) if exact else d[0] for d in datas]
-    width = ints[0].shape[1]
+    width = datas[0][0].shape[1]
     table = np.empty((len(val), width + (scales is not None)), dtype=np.int64)
-    for j in range(width):
-        table[:, j] = gather([x[:, j] for x in ints])
-    if scales is not None:  # float global mode: equal rates share a rank
-        table[:, width] = np.unique(rate, return_inverse=True)[1]
-    order, cuts = sort_rows(table)
-    if not exact:
-        scale = None if scales is None else gather(scales)[order]
-        return np.take(table[:, :width], order, axis=0), val[order], rate[order], scale
-    first = order[cuts]
-    table, rank = np.take(table, first, axis=0), datas[0][0].shape[1]
-    return table[:, :rank], np.add.reduceat(val[order], cuts), rate[first], table[:, rank:]
+    for j in range(width):  # one column at a time: row gathers of 2-d arrays are slower
+        table[:, j] = gather([d[0][:, j] for d in datas])
+    if scales is None:
+        return table, val, rate, None
+    table[:, width] = np.unique(rate, return_inverse=True)[1]  # equal rates share a rank
+    return table, val, rate, gather(scales)
 
 
 def _pair_block_sum(v, r, e, T):
@@ -380,13 +369,12 @@ def windowed_product_norm_sq(polys, symbol, T) -> float:
     """Integral over [0, T] of the squared mean L^2 norm of the product of the
     free evolutions of ``polys``; exact up to roundoff.
 
-    The tuple fold enumerates each multiset of a repeated factor once (with
-    its multinomial weight) and returns its rows sorted by index sum, merged
-    by exact phase on exact lattices; the groups are cut from those rows
-    without another sort.  Each group of s tuples contributes its s x s pair
-    sum of v_i conj(v_j) T phi1(T(r_i - r_j)), with phi1 of the real phase
-    (``kernels.phi1``, no cancellation).  Groups of equal size are
-    batched into (k, s, s) pair blocks of about PAIR_BLOCK pairs.  Phases are
+    The tuple fold runs on the factors' recentered data (``_factor_datas``)
+    and forms no phase keys; one ``sort_rows`` of its index sums cuts the
+    groups.  Each group of s tuples contributes its s x s pair sum of
+    v_i conj(v_j) T phi1(T(r_i - r_j)), with phi1 of the real phase
+    (``kernels.phi1``, no cancellation).  Groups of equal size are batched
+    into (k, s, s) pair blocks of about PAIR_BLOCK pairs.  Phases are
     factored: e_i = e^{iT(r_i - r_g)}, with r_g the rate of the group's first
     tuple, is computed once per tuple, so a pair's kernel is
     (e_i conj(e_j) - 1) / (i(r_i - r_j)) without a transcendental; the
@@ -397,8 +385,9 @@ def windowed_product_norm_sq(polys, symbol, T) -> float:
     if any(not f for f in polys):
         return 0.0
     idx, val, rate, _ = _fold_tuple_data(_factor_datas(polys, symbol))
-    cuts = group_boundaries(idx)
-    sizes = np.diff(np.r_[cuts, len(idx)])
+    order, cuts = sort_rows(idx)
+    val, rate = val[order], rate[order]
+    sizes = np.diff(np.r_[cuts, len(order)])
     _budget.check(int((sizes.astype(np.int64) ** 2).sum()), what="windowed tuple pairing")
     T = float(T)
     phase = np.exp(1j * T * (rate - np.repeat(rate[cuts], sizes)))
@@ -421,31 +410,40 @@ def global_product_norm_sq(polys, symbol) -> float:
     """Global time-mean of the squared mean L^2 norm of the evolved product:
     only exactly phase-matched tuples survive the averaging.
 
-    Exact lattices decide resonance on int64 phase keys: the tuple fold has
-    already merged the tuples of equal index sum and phase, so the result is
-    the sum of its squared values.  In float mode the fold's own sort orders
-    its rows (each multiset of a repeated factor once) by rate within each
-    index sum, cut where adjacent rate sums differ by more than FLOAT_SUM_TOL
-    of their summed term sizes; that is validated on boosted small-box data
-    up to heights of about 1e5.  Near 1e6 distinct rate sums can lie closer
-    than the tolerance and are merged without any error, so the result can be
-    wrong there.
+    The fold runs on the factors' recentered data (``_factor_datas``).  On
+    an exact lattice their int64 phase keys (``phase_rate_keys``) are summed
+    beside the index sums, and one ``sort_rows`` merges tuples of equal index
+    sum and phase: that merge is the resonance decision (key sums that could
+    leave int64 raise ``ValueError``).  In float mode rows sorted by index sum
+    and rate are cut where adjacent rate sums differ by more than
+    FLOAT_SUM_TOL of their summed term sizes.  Recentered Schroedinger rates
+    scale with the data's spread, not its height, so boosted data match their
+    exact twins; under the Airy and polynomial laws, or for data spread over
+    indices near 1e6, distinct rate sums can lie within the tolerance and are
+    merged without any error.
     """
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
-    datas = _factor_datas(polys, symbol)
-    if datas[0][3] is not None:
-        _, val, _, _ = _fold_tuple_data(datas)
-        return float((val.real**2 + val.imag**2).sum())
-    # float mode: a rate is exact to a few roundoff units of the law with
-    # absolute coefficients at sum_i |n_i| omega_i (generators are > 0)
-    law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
-    scales = [np.abs(law.rates_for_indices(f.spec, np.abs(d[0]))) for f, d in zip(polys, datas)]
-    idx, val, rate, scale = _fold_tuple_data(datas, scales)
-    split = np.r_[True, np.diff(rate) > FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1])]
-    split[group_boundaries(idx)] = True
-    sums = np.add.reduceat(val, np.flatnonzero(split))
+    datas = _factor_datas(polys, symbol, symbol.phase_rate_keys)
+    rank = polys[0].spec.rank
+    if datas[0][0].shape[1] > rank:  # exact phase keys beside the indices
+        if sum(int(np.abs(d[0][:, rank:]).max()) for d in datas) > np.iinfo(np.int64).max:
+            raise ValueError("tuple phase key sums exceed the int64 range")
+        table, val, _, _ = _fold_tuple_data(datas)
+        order, cuts = sort_rows(table)
+        sums = np.add.reduceat(val[order], cuts)
+    else:
+        # a rate is exact to a few roundoff units of the law with absolute
+        # coefficients at sum_i |n_i| omega_i (generators are > 0)
+        law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
+        scales = [np.abs(law.rates_for_indices(f.spec, np.abs(d[0]))) for f, d in zip(polys, datas)]
+        table, val, rate, scale = _fold_tuple_data(datas, scales)
+        order, _ = sort_rows(table)
+        rate, scale = rate[order], scale[order]
+        split = np.r_[True, np.diff(rate) > FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1])]
+        split[group_boundaries(np.take(table[:, :-1], order, axis=0))] = True
+        sums = np.add.reduceat(val[order], np.flatnonzero(split))
     return float((sums.real**2 + sums.imag**2).sum())
 
 

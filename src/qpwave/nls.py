@@ -463,7 +463,7 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     conj = evolved_factor_data(f, symbol, conjugated=True)
     datas = [plain] * power + [conj] * (power - 2)
     base_idx, base_val, base_rate, _ = _fold_tuple_data(datas)
-    last_idx, last_val, last_rate, _ = conj
+    last_idx, last_val, last_rate = conj
 
     # mixed-radix code of an output index, most significant column first
     spec = f.spec

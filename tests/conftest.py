@@ -156,13 +156,15 @@ def oracle_tuple_groups(polys, symbol) -> list:
     """Ordered k-tuples of the factors' modes (itertools.product) grouped by
     index sum: a list of (rates, values) arrays per group.  On an exact lattice
     tuples of equal exact phase (summed per-mode phase keys) merge, the first
-    keeping its rate.  Rates of a repeated factor (the same poly as the one
-    before it) are summed in sorted-row order, so the orderings of one
-    multiset carry bitwise-equal rates."""
+    keeping its rate; the keys are ``symbol.phase_rate_keys`` of the factors
+    as given.  Rates of a repeated factor (the same poly as the one before it)
+    are summed in sorted-row order, so the orderings of one multiset carry
+    bitwise-equal rates."""
     datas = [evolved_factor_data(f, symbol) for f in polys]
+    keys = [symbol.phase_rate_keys(f) for f in polys]
     starts = [j for j in range(len(polys)) if j == 0 or polys[j] is not polys[j - 1]]
     runs = list(zip(starts, starts[1:] + [len(polys)]))
-    exact = datas[0][3] is not None
+    exact = keys[0] is not None
     groups = {}
     for rows in itertools.product(*(range(len(d[1])) for d in datas)):
         srt = [r for lo, hi in runs for r in sorted(rows[lo:hi])]
@@ -170,7 +172,7 @@ def oracle_tuple_groups(polys, symbol) -> list:
         rates = [float(d[2][r]) for d, r in zip(datas, srt)]
         rate = sum(rates[1:], rates[0])
         value = math.prod(complex(d[1][r]) for d, r in zip(datas, rows))
-        phase = tuple(int(x) for x in sum(d[3][r] for d, r in zip(datas, rows))) if exact else rows
+        phase = tuple(int(x) for x in sum(key[r] for key, r in zip(keys, rows))) if exact else rows
         group = groups.setdefault(index_sum, {})
         if phase in group:
             group[phase][1] += value
