@@ -18,7 +18,7 @@ import sys
 from . import budget as _budget
 from .errors import BudgetError, QPWaveError
 from .evolution import DispersionSymbol
-from .kdv import kdv_solve, mean_zero_part
+from .kdv import kdv_solve, mean_zero_part, real_field_from_dict
 from .lattice import LatticeSpec, count_in_interval, min_gap, sqrt2_lattice
 from .meannorms import (
     MixedNormSpec,
@@ -86,8 +86,6 @@ def _load_poly(path: str) -> TrigPoly:
     obj = _load_json(path)
     try:
         if obj.get("hermitian"):
-            from .kdv import real_field_from_dict
-
             return real_field_from_dict(obj)
         return TrigPoly.from_dict(obj)
     except (KeyError, ValueError, TypeError) as e:

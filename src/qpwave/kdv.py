@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NumericConsistencyError
 from .evolution import DispersionSymbol
+from .lattice import LatticeSpec
 from .nls import SolveResult, SolverConfig, _run_solver
 from .scalars import QScalar
 from .trigpoly import TrigPoly, multiply, project_ball
@@ -68,8 +69,6 @@ def real_field_to_dict(u: TrigPoly, tol: float = 1e-12) -> dict:
 
 
 def real_field_from_dict(obj: dict) -> TrigPoly:
-    from .lattice import LatticeSpec
-
     spec = LatticeSpec.from_dict(obj["spec"])
     coeffs: dict = {}
     for row in obj["coeffs"]:

@@ -146,30 +146,36 @@ def mean_value_numeric(f: TrigPoly, L: float, points: int = 200_001) -> complex:
 # -- exact mean L^p norms (even p) ---------------------------------------------------
 
 
-def _tuple_power(f: TrigPoly, k: int) -> TrigPoly:
-    """f^k by k - 1 products with f: its indices are the distinct k-fold index
-    sums of f, grouped exactly by ``multiply``, and its coefficients the summed
-    products of their tuples.  Each product's outer-sum table is capped like
-    a tuple-fold step.  On a d = 1 float lattice, distinct sums (k = 1: the
-    indices of f) whose float frequencies agree within FLOAT_SUM_TOL of their
-    summed term sizes raise ``ResonantLatticeError``, relation their difference."""
-    g = f
-    for _ in range(k - 1):
-        _budget.check_memory(len(g) * len(f), what="tuple-power table")
-        g = multiply(g, f)
-    if g.spec.exact or g.spec.d != 1:
-        return g
-    lam = g.freqs_float()
+def _refuse_shared_frequencies(spec, sums: np.ndarray, shift=0) -> None:
+    """On a d = 1 float lattice, two distinct index rows of ``sums`` whose float
+    frequencies agree within FLOAT_SUM_TOL of their summed term sizes raise
+    ``ResonantLatticeError``, relation their difference; it names the rows
+    minus ``shift`` (recentered sums in the caller's coordinates)."""
+    if spec.exact or spec.d != 1:
+        return
+    lam, scale = spec.freq_float(sums), spec.freq_float(np.abs(sums))
     order = np.argsort(lam, kind="stable")
-    idx, lam = g.as_arrays()[0][order], lam[order]
-    scale = g.spec.freq_float(np.abs(idx))
-    close = np.flatnonzero(np.diff(lam) <= FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1]))
+    gap, size = np.diff(lam[order]), scale[order]
+    close = np.flatnonzero(gap <= FLOAT_SUM_TOL * np.maximum(size[1:], size[:-1]))
     if len(close):
-        mu, nu = idx[close[0]], idx[close[0] + 1]
+        mu, nu = sums[order[close[0]]] - shift, sums[order[close[0] + 1]] - shift
         raise ResonantLatticeError(
             f"distinct index sums {tuple(mu.tolist())} and {tuple(nu.tolist())} share a frequency",
             relation=tuple((nu - mu).tolist()),
         )
+
+
+def _tuple_power(f: TrigPoly, k: int) -> TrigPoly:
+    """f^k by k - 1 products with f: its indices are the distinct k-fold index
+    sums of f, grouped exactly by ``multiply``, and its coefficients the summed
+    products of their tuples.  Each product's outer-sum table is capped like
+    a tuple-fold step.  Distinct sums (k = 1: the indices of f) that share a
+    float frequency raise ``ResonantLatticeError``."""
+    g = f
+    for _ in range(k - 1):
+        _budget.check_memory(len(g) * len(f), what="tuple-power table")
+        g = multiply(g, f)
+    _refuse_shared_frequencies(g.spec, g.as_arrays()[0])
     return g
 
 
@@ -276,7 +282,8 @@ def _factor_datas(polys, symbol, keys=None):
     shifted by minus the middle stored index of the first factor, a common
     Galilean boost: the space-time norms are unchanged, f.shift(a) gives
     bitwise the data of f, and rates stay as small as the data's spread.
-    ``keys(factor)``, if given and not None, is appended to the indices."""
+    ``keys(factor)``, if given and not None, is appended to the indices.
+    Returns the data and the anchor (0 under the other laws)."""
     idx = polys[0].as_arrays()[0]
     anchor = -idx[len(idx) // 2] if symbol.kind == "schrodinger" else None
     datas = []
@@ -288,7 +295,7 @@ def _factor_datas(polys, symbol, keys=None):
         idx, vals, rates = evolved_factor_data(f, symbol)
         extra = None if keys is None else keys(f)
         datas.append((idx if extra is None else np.hstack([idx, extra]), vals, rates))
-    return datas
+    return datas, 0 if anchor is None else anchor
 
 
 def _fold_tuple_data(datas, scales=None):
@@ -379,13 +386,16 @@ def windowed_product_norm_sq(polys, symbol, T) -> float:
     tuple, is computed once per tuple, so a pair's kernel is
     (e_i conj(e_j) - 1) / (i(r_i - r_j)) without a transcendental; the
     diagonal is exactly T, and off-diagonal pairs with |T(r_i - r_j)| < 1,
-    where the numerator loses relative accuracy, keep phi1.
+    where the numerator loses relative accuracy, keep phi1.  On d = 1 float
+    lattices, index sums sharing a frequency raise ``ResonantLatticeError``.
     """
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
-    idx, val, rate, _ = _fold_tuple_data(_factor_datas(polys, symbol))
+    datas, anchor = _factor_datas(polys, symbol)
+    idx, val, rate, _ = _fold_tuple_data(datas)
     order, cuts = sort_rows(idx)
+    _refuse_shared_frequencies(polys[0].spec, idx[order[cuts]], len(polys) * anchor)
     val, rate = val[order], rate[order]
     sizes = np.diff(np.r_[cuts, len(order)])
     _budget.check(int((sizes.astype(np.int64) ** 2).sum()), what="windowed tuple pairing")
@@ -416,7 +426,8 @@ def global_product_norm_sq(polys, symbol) -> float:
     sum and phase: that merge is the resonance decision (key sums that could
     leave int64 raise ``ValueError``).  In float mode rows sorted by index sum
     and rate are cut where adjacent rate sums differ by more than
-    FLOAT_SUM_TOL of their summed term sizes.  Recentered Schroedinger rates
+    FLOAT_SUM_TOL of their summed term sizes (on d = 1, index sums sharing a
+    frequency raise ``ResonantLatticeError``).  Recentered Schroedinger rates
     scale with the data's spread, not its height, so boosted data match their
     exact twins; under the Airy and polynomial laws, or for data spread over
     indices near 1e6, distinct rate sums can lie within the tolerance and are
@@ -425,7 +436,7 @@ def global_product_norm_sq(polys, symbol) -> float:
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
-    datas = _factor_datas(polys, symbol, symbol.phase_rate_keys)
+    datas, anchor = _factor_datas(polys, symbol, symbol.phase_rate_keys)
     rank = polys[0].spec.rank
     if datas[0][0].shape[1] > rank:  # exact phase keys beside the indices
         if sum(int(np.abs(d[0][:, rank:]).max()) for d in datas) > np.iinfo(np.int64).max:
@@ -442,7 +453,10 @@ def global_product_norm_sq(polys, symbol) -> float:
         order, _ = sort_rows(table)
         rate, scale = rate[order], scale[order]
         split = np.r_[True, np.diff(rate) > FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1])]
-        split[group_boundaries(np.take(table[:, :-1], order, axis=0))] = True
+        idx = np.take(table[:, :-1], order, axis=0)
+        starts = group_boundaries(idx)
+        _refuse_shared_frequencies(polys[0].spec, idx[starts], len(polys) * anchor)
+        split[starts] = True
         sums = np.add.reduceat(val[order], np.flatnonzero(split))
     return float((sums.real**2 + sums.imag**2).sum())
 
@@ -457,11 +471,14 @@ def mixed_norm_free(
     Windowed mode: the L^p([0,T], mean-L^p) norm, evaluated exactly through
     per-tuple time integrals.  Global mode: the mean over all of time-space,
     the resonant-diagonal sum.  Any spatial dimension d for the Schroedinger
-    law; the Airy and polynomial laws raise ``ValueError`` on d > 1.
+    law; the Airy and polynomial laws raise ``ValueError`` on d > 1.  On d = 1
+    float lattices, indices or index sums sharing a frequency raise
+    ``ResonantLatticeError``.
     """
     symbol.check_dimension(f.spec.d)
     p = mspec.p
     if p == 2:
+        _refuse_shared_frequencies(f.spec, f.as_arrays()[0])
         if mspec.time_mode == "window":
             return math.sqrt(mspec.T) * f.l2_norm()
         return f.l2_norm()

@@ -32,6 +32,7 @@ work budget raises BudgetError.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -139,8 +140,6 @@ class SolveTrace:
     def write_csv(self, path, config: dict | None = None) -> None:
         lines = []
         if config is not None:
-            import json
-
             lines.append(
                 "# config=" + json.dumps(config, sort_keys=True, separators=(",", ":"))
             )
@@ -443,16 +442,17 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     power 2); the last conjugated factor is paired with the folded rows in
     chunks of PAIR_CHUNK elements (about 2 MB at the peak of a chunk).
     An output index is keyed by its mixed-radix code over the range of the
-    output sums, which is linear in the summands (folded row code plus
-    last-factor code), so each chunk's codes are grouped by one stable sort
-    (``kernels.sort_rows``) and the output rates are evaluated once per
-    distinct output of the chunk.  The running sums are held as (output
-    code, value) pairs; whenever the parts since the last fold outgrow both
-    a chunk and the folded table, one ``kernels.group_sum`` folds them, so
-    they stay within about twice the output size plus a chunk.  The output
-    index rows are decoded once, at the end.  A code range beyond int64 raises
-    ValueError.  The work budget is checked on the ordered count
-    len(f)^(2 power - 1).  The outer free factor (unit modulus) and the -i
+    output sums, computed by numpy's codec (``np.ravel_multi_index``, and
+    ``np.unravel_index`` to decode).  The code is linear in the summands
+    (folded row code plus last-factor code), so each chunk's codes are
+    grouped by one stable sort (``kernels.sort_rows``) and the output rates
+    are evaluated once per distinct output of the chunk.  The running sums
+    are held as (output code, value) pairs; whenever the parts since the
+    last fold outgrow both a chunk and the folded table, one
+    ``kernels.group_sum`` folds them, so they stay within about twice the
+    output size plus a chunk.  The output index rows are decoded once, at
+    the end.  A code range beyond int64 raises ValueError.  The work budget
+    is checked on the ordered count len(f)^(2 power - 1).  The outer free factor (unit modulus) and the -i
     Duhamel prefactor are omitted; every norm of the result is unaffected.
     """
     if t == 0 or not f:
@@ -465,20 +465,18 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     base_idx, base_val, base_rate, _ = _fold_tuple_data(datas)
     last_idx, last_val, last_rate = conj
 
-    # mixed-radix code of an output index, most significant column first
+    # mixed-radix code of an output index over the range of the output sums
     spec = f.spec
     base_lo, last_lo = base_idx.min(axis=0), last_idx.min(axis=0)
     lo = base_lo + last_lo
-    radix = (base_idx.max(axis=0) + last_idx.max(axis=0) - lo + 1).tolist()
-    strides = [math.prod(radix[j + 1 :]) for j in range(spec.rank)]
-    if strides[0] * radix[0] > np.iinfo(np.int64).max:
+    radix = tuple((base_idx.max(axis=0) + last_idx.max(axis=0) - lo + 1).tolist())
+    if math.prod(radix) > np.iinfo(np.int64).max:
         raise ValueError("Picard output indices exceed the int64 key range")
-    strides = np.array(strides, dtype=np.int64)
-    base_key = (base_idx - base_lo) @ strides
-    last_key = (last_idx - last_lo) @ strides
+    base_key = np.ravel_multi_index(tuple(base_idx.T - base_lo[:, None]), radix)
+    last_key = np.ravel_multi_index(tuple(last_idx.T - last_lo[:, None]), radix)
 
     def decode(codes):
-        return codes[:, None] // strides % radix + lo
+        return np.stack(np.unravel_index(codes, radix), axis=1) + lo
 
     step = max(1, PAIR_CHUNK // len(last_val))
     held_codes, held_sums = [], []  # the folded table first, then newer parts
@@ -504,8 +502,7 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
         held += len(out_code)
         if held - folded > max(PAIR_CHUNK, folded):
             codes, sums = group_sum(np.concatenate(held_codes), np.concatenate(held_sums))
-            held_codes, held_sums = [codes.ravel()], [sums]
+            held_codes, held_sums = [codes], [sums]
             held = folded = len(codes)
     codes, sums = group_sum(np.concatenate(held_codes), np.concatenate(held_sums))
-    # ascending codes decode to strictly increasing rows: from_arrays keeps them
-    return TrigPoly.from_arrays(spec, decode(codes.ravel()), sums, prune=True)
+    return TrigPoly.from_arrays(spec, decode(codes), sums, prune=True)

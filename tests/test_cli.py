@@ -366,6 +366,18 @@ def test_mixed_norm_cli(capsys, tmp_path):
     assert float(out) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_mixed_norm_refuses_coinciding_float_sums(capsys, tmp_path):
+    # on [1, 2] the modes (2, 0) and (0, 1) share a frequency: the space-time
+    # norms exit 2 in both time modes, not with a wrong norm
+    f = TrigPoly(LatticeSpec([[1.0, 2.0]]), {(2, 0): 1.0, (0, 1): 1.0})
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_dict()))
+    for mode in (["--T", "0.5"], ["--global-mean"]):
+        code, out, err = run(capsys, "mixed-norm", "--input", str(path), *mode)
+        assert (code, out) == (2, "")
+        assert "share a frequency" in err
+
+
 def test_bad_flags_exit_2(capsys):
     assert main(["count", "--C", "notanumber", "--interval", "0", "1"]) == 2
     assert main(["norm"]) == 2

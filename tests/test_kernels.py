@@ -1,13 +1,12 @@
 """The phi1 kernel: (e^{i theta} - 1)/(i theta) for real theta, against a
 50-digit reference, bitwise against the formula with separate temporaries,
 its peak memory and its refusal of complex arguments; the grouping sort of
-integer rows against numpy's lexsort, and the grouped sum's no-sort path for
-rows that already strictly increase."""
+integer rows against numpy's lexsort, and the grouped sum against a dict of
+row sums on drawn, partly sorted and sorted-unique rows."""
 
 import numpy as np
 import pytest
 
-from qpwave import kernels
 from qpwave.kernels import group_sum, phi1, sort_rows
 
 EPS = np.finfo(float).eps
@@ -150,27 +149,6 @@ def test_sort_rows_matches_lexsort():
     check()
 
 
-def test_group_sum_keeps_increasing_rows_without_sorting(monkeypatch):
-    def refuse(rows):
-        raise AssertionError("sort_rows ran on rows that already strictly increase")
-
-    monkeypatch.setattr(kernels, "sort_rows", refuse)
-    # ties in column 0 decided by a later column, a drop in column 1 after a
-    # rise in column 0, negative values; one row, and none
-    for rows in (
-        np.array([[-3, 9, 0], [-3, 9, 1], [-1, -5, 7], [-1, 2, -8], [4, -9, -9]]),
-        np.array([[0, 5], [1, 0], [1, 1], [2, -7]]),
-        np.array([[7]]),
-        np.zeros((0, 2), dtype=np.int64),
-    ):
-        values = np.arange(len(rows)) + 1j
-        got_rows, got_values = group_sum(rows, values)
-        assert got_rows is rows and got_values is values
-    column, values = np.array([-4, 0, 3, 8]), np.ones(4)  # a 1-d array is one column
-    got_rows, got_values = group_sum(column, values)
-    assert got_rows.base is column and got_values is values
-
-
 def test_group_sum_matches_lexsort_sums():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -180,7 +158,7 @@ def test_group_sum_matches_lexsort_sums():
     )
 
     # rows as drawn, sorted on column 0 only (ties left to the later
-    # columns), or sorted and unique (the no-sort path)
+    # columns), or sorted and unique
     @hypothesis.given(table, st.sampled_from(["drawn", "column0", "rows"]))
     @hypothesis.example(np.array([[0, 1], [0, 0]]), "drawn")  # column 0 ties, column 1 drops
     @hypothesis.example(np.array([[0, 0], [0, 0]]), "drawn")  # equal rows do not increase
@@ -199,5 +177,9 @@ def test_group_sum_matches_lexsort_sums():
         keys = sorted(want)
         assert got_rows.tolist() == [list(k) for k in keys]
         assert got_values.tolist() == [want[k] for k in keys]
+        if rows.shape[1] == 1:  # a 1-d array is one column and comes back 1-d
+            column, column_values = group_sum(rows[:, 0], values)
+            assert column.ndim == 1 and column.tolist() == [k[0] for k in keys]
+            assert column_values.tolist() == got_values.tolist()
 
     check()

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -181,6 +182,26 @@ def test_lp_exact_refuses_coinciding_float_sums():
         with pytest.raises(ResonantLatticeError, match="share a frequency") as info:
             lp_norm_exact(f, p)
         assert info.value.relation in ((2, -1), (-2, 1))
+
+
+def test_space_time_norms_refuse_coinciding_float_sums():
+    # the same datum, 2 e^{2ix}, evolved: the fold groups tuples by index sum,
+    # so equal-frequency sums never met (the norms read 1.4142, 1.5651,
+    # 1.6475 and 1.3161 for 2.0, 2.0, 2.0 and 1.6818); with g = e^{ix} the
+    # two-factor sums (3, 0) and (1, 1) share the frequency 3 as well
+    spec = LatticeSpec([[1.0, 2.0]])
+    f = TrigPoly(spec, {(2, 0): 1.0, (0, 1): 1.0})
+    g = TrigPoly(spec, {(1, 0): 1.0})
+    mspecs = [MixedNormSpec(p, "global") for p in (2, 4, 6)] + [MixedNormSpec(4, "window", 0.5)]
+    calls = [partial(mixed_norm_free, f, SCHROD, m) for m in mspecs]
+    calls.append(partial(meannorms.windowed_product_norm_sq, [f, g], SCHROD, 0.5))
+    for call in calls:
+        with pytest.raises(ResonantLatticeError, match="share a frequency") as info:
+            call()
+        assert info.value.relation in ((2, -1), (-2, 1))
+    # the error names the sums as the caller wrote them, not recentered
+    with pytest.raises(ResonantLatticeError, match=r"\(1, 1\) and \(3, 0\)"):
+        meannorms.global_product_norm_sq([f, g], SCHROD)
 
 
 def test_lp_numeric_constant(int_spec):

@@ -162,7 +162,7 @@ def test_windowed_empty_factor():
 def unit_datas(polys):
     """Per-factor fold data with every coefficient 1; a repeated factor shares
     its predecessor's tuple, as in the engine."""
-    datas = meannorms._factor_datas(polys, SCHROD)
+    datas, _ = meannorms._factor_datas(polys, SCHROD)
     unit = {id(d): (d[0], np.ones(len(d[1]), dtype=complex), d[2]) for d in datas}
     return [unit[id(d)] for d in datas]
 
