@@ -22,8 +22,9 @@ of the real phase, in (k, s, s) blocks of equal-size groups with factored
 phases (``windowed_product_norm_sq``).  The globally averaged norm keeps only
 tuples whose dispersive phases cancel exactly: on an exact lattice (any d)
 that is the one decision made on int64 phase keys, the rates scaled by the
-generators' common denominator; in float mode rate sums coincide within
-FLOAT_SUM_TOL of the summed sizes of their terms.
+generators' common denominator; in float mode the same sort merges on the
+rate sums' tolerance clusters (``_float_clusters``), which also refuse
+distinct index sums sharing a float frequency, on any d.
 """
 
 from __future__ import annotations
@@ -146,19 +147,32 @@ def mean_value_numeric(f: TrigPoly, L: float, points: int = 200_001) -> complex:
 # -- exact mean L^p norms (even p) ---------------------------------------------------
 
 
+def _float_clusters(values: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Tolerance-cluster ids of float ``values``, nondecreasing with them: a
+    sorted neighbour opens a new cluster where its gap exceeds FLOAT_SUM_TOL
+    times the larger of the two ``scales`` (ties and +-0.0 share an id)."""
+    order = np.argsort(values)
+    v, s = values[order], scales[order]
+    ids = np.zeros(len(v), dtype=np.int64)
+    ids[1:] = np.diff(v) > FLOAT_SUM_TOL * np.maximum(s[1:], s[:-1])
+    ids[order] = ids.cumsum()
+    return ids
+
+
 def _refuse_shared_frequencies(spec, sums: np.ndarray, shift=0) -> None:
-    """On a d = 1 float lattice, two distinct index rows of ``sums`` whose float
-    frequencies agree within FLOAT_SUM_TOL of their summed term sizes raise
-    ``ResonantLatticeError``, relation their difference; it names the rows
-    minus ``shift`` (recentered sums in the caller's coordinates)."""
-    if spec.exact or spec.d != 1:
+    """On a float lattice (any d), distinct index rows of ``sums`` whose
+    frequencies share a tolerance cluster (``_float_clusters``, scale
+    lam_i(|n|)) in every component raise ``ResonantLatticeError``, relation
+    their difference; it names the first two rows (input order) of the first
+    such group, minus ``shift`` (recentered sums in the caller's coordinates)."""
+    if spec.exact:
         return
-    lam, scale = spec.freq_float(sums), spec.freq_float(np.abs(sums))
-    order = np.argsort(lam, kind="stable")
-    gap, size = np.diff(lam[order]), scale[order]
-    close = np.flatnonzero(gap <= FLOAT_SUM_TOL * np.maximum(size[1:], size[:-1]))
-    if len(close):
-        mu, nu = sums[order[close[0]]] - shift, sums[order[close[0] + 1]] - shift
+    lam, scale = (spec.freq_float(x).reshape(-1, spec.d) for x in (sums, np.abs(sums)))
+    ids = np.stack([_float_clusters(*c) for c in zip(lam.T, scale.T)], axis=1)
+    order, cuts = sort_rows(ids)
+    shared = cuts[np.diff(np.r_[cuts, len(sums)]) > 1]
+    if len(shared):
+        mu, nu = sums[order[shared[0] : shared[0] + 2]] - shift
         raise ResonantLatticeError(
             f"distinct index sums {tuple(mu.tolist())} and {tuple(nu.tolist())} share a frequency",
             relation=tuple((nu - mu).tolist()),
@@ -299,20 +313,18 @@ def _factor_datas(polys, symbol, keys=None):
 
 
 def _fold_tuple_data(datas, scales=None):
-    """One row per tuple, in enumeration order: the summed integer columns
-    (index sums, and phase keys if the factors carry them), coefficient
-    products, rate sums, and the sums of per-factor float term ``scales``
-    (None without them; given them, the dense rank of the rate sums is a last
-    integer column).  Nothing is sorted or merged: each caller groups the
-    rows it needs with ``kernels.sort_rows``.  A factor whose data is the
-    same object as its predecessor's (a repeated poly) takes only row numbers
-    >= the predecessor's row, so every multiset of rows is enumerated once
-    and its product carries the multinomial weight of its orderings (1 or 2
-    at k = 2; 1, 3 or 6 at k = 3).  The tuples are one ragged outer product
-    of per-factor row-number columns (np.repeat plus offsets); every output
-    column is a gather, and rates of a repeated factor are summed in
-    sorted-row order, so orderings agree bitwise.  The work estimate stays
-    the ordered count, the product of the factor sizes.
+    """One row per tuple, in enumeration order: (table, coefficient products,
+    rate sums).  The int64 table sums the factors' integer columns (index
+    sums, and phase keys if they carry them); given per-factor float term
+    ``scales``, a last column holds the rate sums' tolerance-cluster ids
+    against their summed scales (``_float_clusters``).  Nothing is sorted or
+    merged.  A factor whose data is its predecessor's object (a repeated
+    poly) takes only row numbers >= the predecessor's row, so every multiset
+    of rows is enumerated once, its product weighted by the multinomial
+    count of its orderings.  The tuples are one ragged outer product of
+    row-number columns; every output column is a gather, and rates of a
+    repeated factor are summed in sorted-row order, so orderings agree
+    bitwise.  The work estimate stays the ordered count of the tuples.
     """
     rows = [np.arange(len(datas[0][1]))]
     weight = streak = np.ones(len(rows[0]))
@@ -349,10 +361,9 @@ def _fold_tuple_data(datas, scales=None):
     table = np.empty((len(val), width + (scales is not None)), dtype=np.int64)
     for j in range(width):  # one column at a time: row gathers of 2-d arrays are slower
         table[:, j] = gather([d[0][:, j] for d in datas])
-    if scales is None:
-        return table, val, rate, None
-    table[:, width] = np.unique(rate, return_inverse=True)[1]  # equal rates share a rank
-    return table, val, rate, gather(scales)
+    if scales is not None:
+        table[:, width] = _float_clusters(rate, gather(scales))
+    return table, val, rate
 
 
 def _pair_block_sum(v, r, e, T):
@@ -386,14 +397,14 @@ def windowed_product_norm_sq(polys, symbol, T) -> float:
     tuple, is computed once per tuple, so a pair's kernel is
     (e_i conj(e_j) - 1) / (i(r_i - r_j)) without a transcendental; the
     diagonal is exactly T, and off-diagonal pairs with |T(r_i - r_j)| < 1,
-    where the numerator loses relative accuracy, keep phi1.  On d = 1 float
+    where the numerator loses relative accuracy, keep phi1.  On float
     lattices, index sums sharing a frequency raise ``ResonantLatticeError``.
     """
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
     datas, anchor = _factor_datas(polys, symbol)
-    idx, val, rate, _ = _fold_tuple_data(datas)
+    idx, val, rate = _fold_tuple_data(datas)
     order, cuts = sort_rows(idx)
     _refuse_shared_frequencies(polys[0].spec, idx[order[cuts]], len(polys) * anchor)
     val, rate = val[order], rate[order]
@@ -420,44 +431,38 @@ def global_product_norm_sq(polys, symbol) -> float:
     """Global time-mean of the squared mean L^2 norm of the evolved product:
     only exactly phase-matched tuples survive the averaging.
 
-    The fold runs on the factors' recentered data (``_factor_datas``).  On
-    an exact lattice their int64 phase keys (``phase_rate_keys``) are summed
-    beside the index sums, and one ``sort_rows`` merges tuples of equal index
-    sum and phase: that merge is the resonance decision (key sums that could
-    leave int64 raise ``ValueError``).  In float mode rows sorted by index sum
-    and rate are cut where adjacent rate sums differ by more than
-    FLOAT_SUM_TOL of their summed term sizes (on d = 1, index sums sharing a
-    frequency raise ``ResonantLatticeError``).  Recentered Schroedinger rates
-    scale with the data's spread, not its height, so boosted data match their
-    exact twins; under the Airy and polynomial laws, or for data spread over
-    indices near 1e6, distinct rate sums can lie within the tolerance and are
-    merged without any error.
+    The fold runs on the factors' recentered data (``_factor_datas``) and
+    puts phase columns beside the index sums: summed int64 phase keys
+    (``phase_rate_keys``; sums that could leave int64 raise ``ValueError``)
+    on an exact lattice, the rate sums' tolerance clusters in float mode.
+    One ``sort_rows`` and one ``reduceat`` merge equal rows: that is the
+    resonance decision.  In float mode index sums sharing a frequency raise
+    ``ResonantLatticeError``; clusters form over the whole table, so two
+    rates of one index sum could chain through a third of another sum, a
+    roundoff-level near-coincidence no tolerance resolves.  Recentered
+    Schroedinger rates scale with the data's spread, not its height; under
+    the Airy and polynomial laws, or for data near index 1e6, distinct rate
+    sums can lie within the tolerance and merge without any error.
     """
     polys = list(polys)
     if any(not f for f in polys):
         return 0.0
     datas, anchor = _factor_datas(polys, symbol, symbol.phase_rate_keys)
-    rank = polys[0].spec.rank
+    rank, scales = polys[0].spec.rank, None
     if datas[0][0].shape[1] > rank:  # exact phase keys beside the indices
         if sum(int(np.abs(d[0][:, rank:]).max()) for d in datas) > np.iinfo(np.int64).max:
             raise ValueError("tuple phase key sums exceed the int64 range")
-        table, val, _, _ = _fold_tuple_data(datas)
-        order, cuts = sort_rows(table)
-        sums = np.add.reduceat(val[order], cuts)
     else:
         # a rate is exact to a few roundoff units of the law with absolute
         # coefficients at sum_i |n_i| omega_i (generators are > 0)
         law = DispersionSymbol(symbol.kind, tuple(abs(c) for c in symbol.coeffs))
         scales = [np.abs(law.rates_for_indices(f.spec, np.abs(d[0]))) for f, d in zip(polys, datas)]
-        table, val, rate, scale = _fold_tuple_data(datas, scales)
-        order, _ = sort_rows(table)
-        rate, scale = rate[order], scale[order]
-        split = np.r_[True, np.diff(rate) > FLOAT_SUM_TOL * np.maximum(scale[1:], scale[:-1])]
-        idx = np.take(table[:, :-1], order, axis=0)
-        starts = group_boundaries(idx)
-        _refuse_shared_frequencies(polys[0].spec, idx[starts], len(polys) * anchor)
-        split[starts] = True
-        sums = np.add.reduceat(val[order], np.flatnonzero(split))
+    table, val, _ = _fold_tuple_data(datas, scales)
+    order, cuts = sort_rows(table)
+    if scales is not None:
+        idx = table[order[cuts], :rank]
+        _refuse_shared_frequencies(polys[0].spec, idx[group_boundaries(idx)], len(polys) * anchor)
+    sums = np.add.reduceat(val[order], cuts)
     return float((sums.real**2 + sums.imag**2).sum())
 
 
@@ -471,7 +476,7 @@ def mixed_norm_free(
     Windowed mode: the L^p([0,T], mean-L^p) norm, evaluated exactly through
     per-tuple time integrals.  Global mode: the mean over all of time-space,
     the resonant-diagonal sum.  Any spatial dimension d for the Schroedinger
-    law; the Airy and polynomial laws raise ``ValueError`` on d > 1.  On d = 1
+    law; the Airy and polynomial laws raise ``ValueError`` on d > 1.  On
     float lattices, indices or index sums sharing a frequency raise
     ``ResonantLatticeError``.
     """

@@ -451,19 +451,19 @@ def first_picard_iterate(f: TrigPoly, t: float, power: int = 2) -> TrigPoly:
     last fold outgrow both a chunk and the folded table, one
     ``kernels.group_sum`` folds them, so they stay within about twice the
     output size plus a chunk.  The output index rows are decoded once, at
-    the end.  A code range beyond int64 raises ValueError.  The work budget
-    is checked on the ordered count len(f)^(2 power - 1).  The outer free factor (unit modulus) and the -i
-    Duhamel prefactor are omitted; every norm of the result is unaffected.
+    the end.  A code range beyond int64 raises ValueError.  The budget sees the
+    pairs made, folded rows times len(f), after the fold's own guards.  The
+    outer free factor and the -i Duhamel prefactor are omitted (no norm moves).
     """
     if t == 0 or not f:
         return TrigPoly.zero(f.spec)
-    _budget.check(len(f) ** (2 * power - 1), what="Duhamel tuple sum")
     symbol = DispersionSymbol.schrodinger()
     plain = evolved_factor_data(f, symbol)
     conj = evolved_factor_data(f, symbol, conjugated=True)
     datas = [plain] * power + [conj] * (power - 2)
-    base_idx, base_val, base_rate, _ = _fold_tuple_data(datas)
+    base_idx, base_val, base_rate = _fold_tuple_data(datas)
     last_idx, last_val, last_rate = conj
+    _budget.check(len(base_val) * len(last_val), what="Duhamel tuple sum")
 
     # mixed-radix code of an output index over the range of the output sums
     spec = f.spec

@@ -313,8 +313,6 @@ def biorthogonality_check(
     for k in range(kmin, 2 * G + 1):
         u_top = min(k, 2 * G - k)
         start = k & 1
-        if u_top < start:
-            continue
         U = np.arange(start, u_top + 1, 2, dtype=np.int64)
         # window on squares: 3 k |U^2 - V^2| <= 4 T
         W = int((4 * T.numerator) // (3 * k * T.denominator))

@@ -204,6 +204,33 @@ def test_space_time_norms_refuse_coinciding_float_sums():
         meannorms.global_product_norm_sq([f, g], SCHROD)
 
 
+def test_d2_norms_refuse_coinciding_float_sums():
+    # on the d = 2 lattice [[1, 2], [1]] the modes (2, 0, 0) and (0, 1, 0)
+    # are one function, 2 e^{2ix}, in both frequency components (the exact
+    # route read 1.565 for 2.0): every norm refuses, with relation (2, -1, 0)
+    f = TrigPoly(LatticeSpec([[1.0, 2.0], [1.0]]), {(2, 0, 0): 1.0, (0, 1, 0): 1.0})
+    calls = [partial(lp_norm_exact, f, p) for p in (2, 4, 6)]
+    for mspec in (MixedNormSpec(4, "global"), MixedNormSpec(4, "window", 0.5)):
+        calls.append(partial(mixed_norm_free, f, SCHROD, mspec))
+    for call in calls:
+        with pytest.raises(ResonantLatticeError, match="share a frequency") as info:
+            call()
+        assert info.value.relation in ((2, -1, 0), (-2, 1, 0))
+
+
+def test_d2_float_norms_without_coincidence_unchanged():
+    # no two distinct sums share a frequency: the values stay those of the
+    # norms before the refusal covered d = 2
+    spec = LatticeSpec([[1.0, math.sqrt(2.0)], [math.sqrt(3.0)]])
+    f = TrigPoly(spec, {(1, 0, 0): 1.0, (0, 1, 1): 0.5j, (1, 1, 0): 0.25, (-1, 0, 1): 0.3})
+    got = [lp_norm_exact(f, p) for p in (2, 4, 6)]
+    got += [mixed_norm_free(f, SCHROD, MixedNormSpec(p, "global")) for p in (4, 6)]
+    got.append(mixed_norm_free(f, SCHROD, MixedNormSpec(4, "window", 0.5)))
+    want = [1.184271928232701, 1.300387429184076, 1.384918848157872]
+    want += [1.300387429184076, 1.384918848157872, 1.093491127641883]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_lp_numeric_constant(int_spec):
     f = TrigPoly(int_spec, {(0,): -2.5 + 0.0j})
     for L in (10.0, 100.0):

@@ -546,11 +546,13 @@ def test_first_iterate_power_three_single_mode(sqrt2_spec):
 
 
 @pytest.mark.parametrize("power", [2, 3])
-def test_first_iterate_budget_counts_ordered_tuples(sqrt2_spec, power, work_budget):
-    # the fold builds multiset rows, about half the ordered ones at power 2;
-    # the budget still sees the ordered count M^(2 power - 1)
+def test_first_iterate_budget_counts_paired_rows(sqrt2_spec, power, work_budget):
+    # the fold builds multiset rows, about half the ordered ones at power 2,
+    # and the budget sees the pairs made: folded rows times M last factors
     f = random_poly(sqrt2_spec, 6, np.random.default_rng(60), box=3)
-    work = len(f) ** (2 * power - 1)
+    m = len(f)
+    work = math.comb(m + power - 1, power) * m ** (power - 2) * m
+    assert work < m ** (2 * power - 1)
     work_budget(work - 1)
     with pytest.raises(BudgetError, match="Duhamel tuple sum"):
         first_picard_iterate(f, 0.01, power=power)

@@ -4,12 +4,11 @@ Exact phase keys must reproduce the brute-force QScalar oracle, and the float
 twin of each lattice must reproduce the exact result, for up to 6 modes from
 a small index box boosted to heights up to 1e5: the box keeps nontrivial
 resonances, and the boost moves them to large rates without changing them.
-The float mode's (index sum, rate) order, which the global average's one
-sort gives it through the fold's dense rate-rank column, must equal
-``np.lexsort``, ties included, so that its reports stay bitwise those of a
-lexsort.  Boosted to heights up to 1e8, the Schroedinger space-time norms of
-fixed data must stay bitwise unchanged, and summed phase keys beyond int64
-must be refused.
+The float mode's tolerance-cluster column must group the rows of each index
+sum as clustering that sum's rates alone does, and its reports must stay
+bitwise those of a ``np.lexsort`` grouping.  Boosted to heights up to 1e8,
+the Schroedinger space-time norms of fixed data must stay bitwise unchanged,
+and summed phase keys beyond int64 must be refused.
 """
 
 import json
@@ -32,6 +31,7 @@ from qpwave import (
     meannorms,
 )
 from qpwave.meannorms import global_product_norm_sq, windowed_product_norm_sq
+from qpwave.trigpoly import FLOAT_SUM_TOL
 from conftest import float_twin, oracle_global_mean
 
 SCHROD = DispersionSymbol.schrodinger()
@@ -69,23 +69,47 @@ def test_global_mean_exact_oracle_and_float_twin(f, p):
     assert twin == pytest.approx(exact, rel=1e-9)
 
 
+def test_float_clusters_share_within_tolerance_and_split_beyond():
+    # scale 1e3: neighbours within 1e-11 share an id, both zeros included;
+    # a gap is measured against the larger of the two scales
+    tol = FLOAT_SUM_TOL * 1e3
+    values = np.array([5 + 3 * tol, 0.0, 7.0, 5.0, -0.0, 9 + tol / 2, 5 + tol / 2, 9.0, 11.0])
+    values = np.r_[values, 11 + tol / 2]
+    scales = np.r_[np.full(7, 1e3), 1.0, 1.0, 1.0]
+    ids = meannorms._float_clusters(values, scales)
+    assert ids.tolist() == [2, 0, 3, 1, 0, 4, 1, 4, 5, 6]
+
+
 @pytest.mark.parametrize("n, groups, distinct", [(1, 1, 1), (7, 2, 3), (5000, 300, 40)])
-def test_group_rate_order_matches_lexsort(n, groups, distinct):
+def test_rate_cluster_column_groups_like_per_sum_clustering(n, groups, distinct):
     # one factor whose index sums are the groups: given scales, the fold
-    # appends the rate rank to its table, and the sort of that table in the
-    # global float average puts its rows (values = row numbers) in
-    # np.lexsort((rate, group)) order; a few distinct rates (and both zeros)
-    # drawn n times give exact ties within and across groups
+    # appends the tolerance-cluster id of the rates, and sorting its table
+    # groups the rows as clustering each index sum's rates alone does; a few
+    # distinct rates (and both zeros), each jittered within the tolerance of
+    # its scale, are drawn n times
     rng = np.random.default_rng(n)
     group = rng.integers(0, groups, n)
-    rate = rng.choice(np.r_[1e3 * rng.standard_normal(distinct), 0.0, -0.0], n)
+    center = rng.integers(0, distinct + 2, n)
+    rate = np.r_[1e3 * rng.standard_normal(distinct), 0.0, -0.0][center]
+    scale = np.full(n, 1e4)
+    rate[center < distinct] += rng.integers(0, 4, n)[center < distinct] * 3e-11
     data = (group[:, None], np.arange(n, dtype=float), rate)
-    table, val, got_rate, scale = meannorms._fold_tuple_data([data], [np.arange(n, dtype=float)])
-    order, _ = meannorms.sort_rows(table)
-    want = np.lexsort((rate, group))
-    assert (val[order] == want).all() and (scale[order] == want).all()
-    assert (table[order, 0] == group[want]).all()
-    assert got_rate[order].tobytes() == rate[want].tobytes()
+    table, val, got_rate = meannorms._fold_tuple_data([data], [scale])
+    assert got_rate.tobytes() == rate.tobytes() and (table[:, 0] == group).all()
+    order, cuts = meannorms.sort_rows(table)
+    ends = np.r_[cuts[1:], n]
+    got = {frozenset(val[order[a:b]].astype(int).tolist()) for a, b in zip(cuts, ends)}
+    want = set()
+    for g in np.unique(group):
+        rows = sorted(np.flatnonzero(group == g).tolist(), key=lambda i: rate[i])
+        cluster = [rows[0]]
+        for i, j in zip(rows, rows[1:]):
+            if rate[j] - rate[i] > FLOAT_SUM_TOL * max(scale[i], scale[j]):
+                want.add(frozenset(cluster))
+                cluster = []
+            cluster.append(j)
+        want.add(frozenset(cluster))
+    assert got == want
 
 
 @pytest.mark.parametrize("seed", range(1, 11))

@@ -170,7 +170,7 @@ def unit_datas(polys):
 @given(product_case(shapes=("f*2", "f*3", "f,f,g")))
 def test_multiset_weights_sum_to_ordered_count(polys):
     # the fold merges nothing on any lattice: one row per multiset
-    idx, val, _, _ = meannorms._fold_tuple_data(unit_datas(polys))
+    idx, val, _ = meannorms._fold_tuple_data(unit_datas(polys))
     assert val.sum() == math.prod(len(f) for f in polys)
     k = sum(f is polys[0] for f in polys)  # [f] * k, then at most one other
     other = len(polys[-1]) if k < len(polys) else 1
