@@ -18,13 +18,14 @@ the spectrum sits.
 
 The windowed norm carries one time integral per pair of tuples with equal
 index sum, T phi1(T(r_i - r_j)), phi1(theta) = (e^{i theta} - 1)/(i theta)
-of the real phase, in (k, s, s) blocks of equal-size groups with factored
-phases (``windowed_product_norm_sq``).  The globally averaged norm keeps only
-tuples whose dispersive phases cancel exactly: on an exact lattice (any d)
-that is the one decision made on int64 phase keys, the rates scaled by the
-generators' common denominator; in float mode the same sort merges on the
-rate sums' tolerance clusters (``_float_clusters``), which also refuse
-distinct index sums sharing a float frequency, on any d.
+of the real phase, in (k, s, s) blocks of equal-size groups written into one
+workspace: far pairs are a real Cauchy form in 1/(r_i - r_j) (one batched
+matmul), near pairs call phi1 (``windowed_product_norm_sq``).  The globally
+averaged norm keeps only tuples whose dispersive phases cancel exactly: on an
+exact lattice (any d) that is the one decision made on int64 phase keys, the
+rates scaled by the generators' common denominator; in float mode the same
+sort merges on the rate sums' tolerance clusters (``_float_clusters``), which
+also refuse distinct index sums sharing a float frequency, on any d.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ __all__ = [
 
 IMAG_RESIDUE_TOL = 1e-12
 # Pairs per (k, s, s) block of the windowed pairing: one numpy pass per block;
-# its temporaries peak near 13 MB (12.9 MB under tracemalloc at s = 50).
+# workspace plus temporaries peak at 5.6 MB (tracemalloc, s = 50; 4.4 MB workspace).
 PAIR_BLOCK = 1 << 18
 # Samples per chunk of the quadrature sums: 512 KB of complex samples, so a
 # chunk and its |f|^p temporary stay in cache.
@@ -366,21 +367,30 @@ def _fold_tuple_data(datas, scales=None):
     return table, val, rate
 
 
-def _pair_block_sum(v, r, e, T):
-    """Sum of v_i conj(v_j) T phi1(T(r_i - r_j)) over the full s x s square of
-    each of k groups, given (k, s) values, rates and phases e_i = e^{iT(r_i - c)}
-    (any c per group).  The kernel is (e_i conj(e_j) - 1) / (i(r_i - r_j)); the
-    diagonal (theta = 0, all of an s = 1 block) is exactly T = T phi1(0), and
-    only off-diagonal pairs with |T(r_i - r_j)| < 1, where that numerator
-    cancels, call phi1 on their real phases T(r_i - r_j)."""
-    dr = r[:, :, None] - r[:, None, :]
-    small = np.abs(T * dr) < 1.0
-    kern = (e[:, :, None] * e[:, None, :].conj() - 1.0) / (1j * np.where(small, 1.0, dr))
-    d = np.arange(r.shape[1])
-    small[:, d, d] = False
-    kern[:, d, d] = T
-    kern[small] = T * phi1(T * dr[small])
-    return (v[:, :, None] * v[:, None, :].conj() * kern).sum()
+def _pair_block_sum(v, r, e, T, work):
+    """Sum of v_i conj(v_j) T phi1(T(r_i - r_j)) over the s x s squares of k groups
+    of (k, s) values, rates and phases e_i = e^{iT(r_i - c)} (any c per group),
+    in ``work``: flat differences, reciprocals and near mask of >= k s^2 entries.
+    Far pairs (|T(r_i - r_j)| >= 1) sum to -i sum C_ij (a_i conj(a_j) - v_i conj(v_j)),
+    a = v e, C_ij = 1/(r_i - r_j) but 1/inf = 0 on the diagonal and near pairs: one
+    batched real matmul.  Ordered off-diagonal near pairs call phi1 on their real
+    phases; the diagonal (theta = 0) is T sum |v|^2."""
+    k, s = r.shape
+    dr, recip, near = (w[: k * s * s].reshape(k, s, s) for w in work)
+    np.subtract(r[:, :, None], r[:, None, :], out=dr)
+    np.less(np.abs(np.multiply(dr, T, out=recip), out=recip), 1.0, out=near)
+    d = np.arange(s)
+    near[:, d, d] = False
+    pairs = np.flatnonzero(near)
+    i, j = np.divmod(pairs, s)  # flat rows of v_i and v_j
+    j += i - i % s
+    vf = v.reshape(-1)
+    near_sum = np.dot(vf[i] * vf[j].conj(), phi1(T * dr.reshape(-1)[pairs]))
+    dr.reshape(-1)[pairs] = dr[:, d, d] = np.inf
+    av = np.stack([v * e, v], axis=-1)
+    Cav = np.matmul(np.divide(1.0, dr, out=recip), av.view(float)).view(complex)
+    far = np.vdot(Cav[..., 0], av[..., 0]) - np.vdot(Cav[..., 1], av[..., 1])
+    return T * (np.vdot(v, v).real + near_sum) - 1j * far
 
 
 def windowed_product_norm_sq(polys, symbol, T) -> float:
@@ -394,10 +404,11 @@ def windowed_product_norm_sq(polys, symbol, T) -> float:
     (``kernels.phi1``, no cancellation).  Groups of equal size are batched
     into (k, s, s) pair blocks of about PAIR_BLOCK pairs.  Phases are
     factored: e_i = e^{iT(r_i - r_g)}, with r_g the rate of the group's first
-    tuple, is computed once per tuple, so a pair's kernel is
-    (e_i conj(e_j) - 1) / (i(r_i - r_j)) without a transcendental; the
-    diagonal is exactly T, and off-diagonal pairs with |T(r_i - r_j)| < 1,
-    where the numerator loses relative accuracy, keep phi1.  On float
+    tuple, so a far pair's kernel (e_i conj(e_j) - 1) / (i(r_i - r_j)) needs no
+    transcendental and a block's far pairs are one real Cauchy form
+    (``_pair_block_sum``, one workspace per call, sized to its largest block);
+    the diagonal is exactly T, and ordered off-diagonal pairs with
+    |T(r_i - r_j)| < 1, where that numerator cancels, keep phi1.  On float
     lattices, index sums sharing a frequency raise ``ResonantLatticeError``.
     """
     polys = list(polys)
@@ -412,13 +423,16 @@ def windowed_product_norm_sq(polys, symbol, T) -> float:
     _budget.check(int((sizes.astype(np.int64) ** 2).sum()), what="windowed tuple pairing")
     T = float(T)
     phase = np.exp(1j * T * (rate - np.repeat(rate[cuts], sizes)))
+    uniq, counts = np.unique(sizes, return_counts=True)
+    steps = np.maximum(1, PAIR_BLOCK // uniq**2)
+    n = int((np.minimum(counts, steps) * uniq**2).max())  # the largest block
+    work = (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
     total = 0.0 + 0.0j
-    for s in np.unique(sizes):
+    for s, step in zip(uniq.tolist(), steps.tolist()):
         starts = cuts[sizes == s]
-        step = max(1, PAIR_BLOCK // int(s * s))
         for lo in range(0, len(starts), step):
             rows = starts[lo : lo + step, None] + np.arange(s)
-            total += _pair_block_sum(val[rows], rate[rows], phase[rows], T)
+            total += _pair_block_sum(val[rows], rate[rows], phase[rows], T, work)
     re, im = float(total.real), float(total.imag)
     if abs(im) > IMAG_RESIDUE_TOL * max(abs(re), 1e-300):
         raise NumericConsistencyError(

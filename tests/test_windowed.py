@@ -2,19 +2,24 @@
 
 ``windowed_product_norm_sq`` pairs the index-sum groups of the tuple fold,
 which enumerates each multiset of a repeated factor once, batched by size and
-with factored pair phases; ``oracle_windowed`` (conftest) is a per-group loop
-of its own complex ``oracle_phi1`` over an ordered ``itertools.product``
+with factored pair phases: far pairs are one real Cauchy form in
+1/(r_i - r_j) per block, ordered near pairs call phi1, and every block writes
+into one workspace per call.  ``oracle_windowed`` (conftest) is a per-group
+loop of its own complex ``oracle_phi1`` over an ordered ``itertools.product``
 enumeration, independent of the fold and of the engine's phi1 kernel.  The
 cases cover group sizes from 1 up, the products [f]*2, [f]*3, [f, f, g] and
 [f1, f2], and windows T that put one pair's phase theta = T(r_i - r_j) just
-below or above 1, where the engine switches between phi1 and the factored
-kernel, or near 1e-4, where ``oracle_phi1`` switches to its Taylor polynomial
-(the engine's real-argument phi1 has no branch).  The tolerance is 1e-13 of
+below or above 1, where the engine switches between phi1 and the Cauchy
+form, or near 1e-4, where ``oracle_phi1`` switches to its Taylor polynomial
+(the engine's real-argument phi1 has no branch).  Exactly equal rates off the
+diagonal (integer lattice, [f1, f2]) raise no warning, and an error in phi1
+shows as an imaginary residue.  The tolerance is 1e-13 of
 T * sum over groups of (sum |v|)^2, which bounds every pair sum.  The global mean is checked against the exact
 product oracle to 1e-12 of the sum over groups of (sum |term|)^2.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +27,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from qpwave import BudgetError, DispersionSymbol, LatticeSpec, QScalar, TrigPoly, meannorms
+from qpwave import (
+    BudgetError,
+    DispersionSymbol,
+    LatticeSpec,
+    NumericConsistencyError,
+    QScalar,
+    TrigPoly,
+    meannorms,
+)
 from qpwave.meannorms import global_product_norm_sq, windowed_product_norm_sq
 from conftest import oracle_global_groups, oracle_tuple_groups, oracle_windowed
 
@@ -152,6 +165,34 @@ def test_windowed_calls_phi1_only_below_unit_phase(monkeypatch):
     monkeypatch.setattr(meannorms, "phi1", lambda z: seen.append(np.size(z)) or orig(z))
     windowed_product_norm_sq([f, f], SCHROD, T)
     assert sum(seen) == small < pairs / 2
+
+
+def test_windowed_equal_off_diagonal_rates_raise_no_warning():
+    # two distinct factors on shared integer indices: the tuples (a, b) and
+    # (b, a) have the same index sum and exactly equal rates, so the Cauchy
+    # matrix would divide by zero off the diagonal unless those entries are
+    # excluded first
+    spec = SPECS["integer"]
+    f1, f2 = box_poly(spec, 3, seed=7), box_poly(spec, 3, seed=8)
+    idx, _, rate = meannorms._fold_tuple_data(meannorms._factor_datas([f1, f2], SCHROD)[0])
+    assert len({(tuple(n), x) for n, x in zip(idx.tolist(), rate.tolist())}) < len(rate)
+    for T in (0.1, 2.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_oracle([f1, f2], T)
+
+
+def test_windowed_imaginary_residue_sees_near_pairs(monkeypatch):
+    # every ordered near pair goes through phi1, so an error there leaves an
+    # imaginary residue that the consistency check reports
+    f = box_poly(SPECS["sqrt3"], 3, seed=2)
+    T = 0.3
+    thetas = [T * (r[:, None] - r[None, :]) for r, _ in tuple_groups([f, f])]
+    assert sum(int((np.abs(t) < 1).sum()) - len(t) for t in thetas) > 0
+    orig = meannorms.phi1
+    monkeypatch.setattr(meannorms, "phi1", lambda z: orig(z) + 1e-3j)
+    with pytest.raises(NumericConsistencyError, match="imaginary residue"):
+        windowed_product_norm_sq([f, f], SCHROD, T)
 
 
 def test_windowed_empty_factor():
